@@ -11,7 +11,6 @@ embedding report checks exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .rings import FiniteRing
@@ -33,14 +32,18 @@ def as_idempotent(ring: FiniteRing, e: int) -> Idempotent:
 
 
 def complement(ring: FiniteRing, idem: Idempotent) -> Idempotent:
-    return as_idempotent(ring, idem.f)
+    """Idempotent(f, e) for idem = Idempotent(e, f); memoised on the ring."""
+    done = ring.cached("complement", dict)
+    if idem not in done:
+        done[idem] = as_idempotent(ring, idem.f)
+    return done[idem]
 
 
-@lru_cache(maxsize=None)
 def idempotents(ring: FiniteRing) -> tuple[Idempotent, ...]:
-    """All idempotents of the ring in ascending code order."""
-    return tuple(Idempotent(e, ring.sub(ring.one, e))
-                 for e in ring.elements() if ring.mul(e, e) == e)
+    """All idempotents of the ring in ascending code order, memoised."""
+    return ring.cached("idempotents", lambda: tuple(
+        Idempotent(e, ring.sub(ring.one, e))
+        for e in ring.elements() if ring.mul(e, e) == e))
 
 
 class CornerRing(FiniteRing):
@@ -76,6 +79,19 @@ class CornerRing(FiniteRing):
     def mul(self, a: int, b: int) -> int:
         return self.ambient.mul(a, b)
 
+    def inverse_of(self, x: int) -> Optional[int]:
+        """Inverse of x in eRe, read off the ambient unit x + f.
+
+        If xy = yx = e in eRe then (x+f)(y+f) = (y+f)(x+f) = 1, as xf = fx = 0.
+        If w(x+f) = (x+f)w = 1 then e(x+f) = x = (x+f)e gives xwe = e = ewx,
+        so y = ewe has xy = yx = e. Codes outside the carrier get the scan.
+        """
+        if not self.contains(x):
+            return self._scan_inverse(x)
+        ambient, e = self.ambient, self.idem.e
+        w = ambient.units().get(ambient.add(x, self.idem.f))
+        return None if w is None else ambient.mul3(e, w, e)
+
     def element_repr(self, x: int) -> str:
         return self.ambient.element_repr(x)
 
@@ -84,15 +100,17 @@ class CornerRing(FiniteRing):
         return f"{self.ambient.spec_string}[e={self.idem.e}]"
 
 
-@lru_cache(maxsize=None)
 def corner_ring(ring: FiniteRing, idem: Idempotent) -> CornerRing:
-    """Corner eRe for a validated idempotent; cached per (ring, idempotent)."""
-    ring.check_element(idem.e)
-    if ring.mul(idem.e, idem.e) != idem.e:
-        raise ValueError(f"{ring.element_repr(idem.e)} is not idempotent")
-    if ring.sub(ring.one, idem.e) != idem.f:
-        raise ValueError("complement does not match 1 - e")
-    return CornerRing(ring, idem)
+    """Corner eRe for a validated idempotent; memoised on the ring."""
+    corners = ring.cached("corners", dict)
+    if idem not in corners:
+        ring.check_element(idem.e)
+        if ring.mul(idem.e, idem.e) != idem.e:
+            raise ValueError(f"{ring.element_repr(idem.e)} is not idempotent")
+        if ring.sub(ring.one, idem.e) != idem.f:
+            raise ValueError("complement does not match 1 - e")
+        corners[idem] = CornerRing(ring, idem)
+    return corners[idem]
 
 
 @dataclass(frozen=True)

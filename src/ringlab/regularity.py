@@ -1,17 +1,21 @@
 """Regularity classification on finite carriers by exhaustive search.
 
 An element a is regular when a = a*t*a for some t, and unit regular when some
-such middle term is a unit. The one-sided variants ask for a middle term with
-a one-sided inverse; on a finite carrier they coincide with the two-sided
-notion, but the searches are kept separate so that coincidence is something
-the tests can observe rather than an assumption baked into the code.
+such middle term is a unit. Each search runs once per element and ring: its
+result is memoised on the ring instance, and the sets are read off the
+per-element results.
+
+The one-sided variants ask for a middle term with a one-sided inverse. On a
+finite carrier they coincide with the two-sided notion: if uv = 1 then
+x -> vx is injective, hence onto, so vw = 1 for some w, and u = u(vw) =
+(uv)w = w. The search is kept only so the tests can observe that collapse;
+classify does not run it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .rings import FiniteRing
@@ -53,21 +57,23 @@ class ZeroDivisorStatus:
 
 
 def regular_witness(ring: FiniteRing, a: int) -> Optional[int]:
-    """First t with a = a*t*a in ascending code order, or None."""
+    """First t with a = a*t*a in ascending code order, or None; memoised."""
     ring.check_element(a)
-    for t in ring.elements():
-        if ring.mul3(a, t, a) == a:
-            return t
-    return None
+    found = ring.cached("regular_witness", dict)
+    if a not in found:
+        found[a] = next((t for t in ring.elements() if ring.mul3(a, t, a) == a),
+                        None)
+    return found[a]
 
 
 def unit_regular_witness(ring: FiniteRing, a: int) -> Optional[tuple[int, int]]:
-    """First unit middle term (u, u_inverse) with a = a*u*a, or None."""
+    """First unit middle term (u, u_inverse) with a = a*u*a, or None; memoised."""
     ring.check_element(a)
-    for u, u_inv in ring.units().items():
-        if ring.mul3(a, u, a) == a:
-            return (u, u_inv)
-    return None
+    found = ring.cached("unit_regular_witness", dict)
+    if a not in found:
+        found[a] = next(((u, u_inv) for u, u_inv in ring.units().items()
+                         if ring.mul3(a, u, a) == a), None)
+    return found[a]
 
 
 def one_sided_unit_regular_witness(ring: FiniteRing, a: int,
@@ -94,22 +100,31 @@ def one_sided_unit_regular_witness(ring: FiniteRing, a: int,
 
 
 def zero_divisor_status(ring: FiniteRing, b: int) -> ZeroDivisorStatus:
-    """Left: b*c = 0 for some nonzero c. Right: c*b = 0 for some nonzero c."""
+    """Left: b*c = 0 for some nonzero c. Right: c*b = 0 for some nonzero c.
+
+    Memoised per element on the ring.
+    """
     ring.check_element(b)
-    zero = ring.zero
-    left = any(ring.mul(b, c) == zero for c in ring.elements() if c != zero)
-    right = any(ring.mul(c, b) == zero for c in ring.elements() if c != zero)
-    return ZeroDivisorStatus(left=left, right=right)
+    found = ring.cached("zero_divisor_status", dict)
+    if b not in found:
+        zero = ring.zero
+        left = any(ring.mul(b, c) == zero for c in ring.elements() if c != zero)
+        right = any(ring.mul(c, b) == zero for c in ring.elements() if c != zero)
+        found[b] = ZeroDivisorStatus(left=left, right=right)
+    return found[b]
 
 
-@lru_cache(maxsize=None)
 def regular_set(ring: FiniteRing) -> tuple[int, ...]:
-    return tuple(a for a in ring.elements() if regular_witness(ring, a) is not None)
+    """Regular elements, ascending; a unit-regular element needs no second search."""
+    return ring.cached("regular_set", lambda: tuple(
+        a for a in ring.elements()
+        if unit_regular_witness(ring, a) is not None
+        or regular_witness(ring, a) is not None))
 
 
-@lru_cache(maxsize=None)
 def unit_regular_set(ring: FiniteRing) -> tuple[int, ...]:
-    return tuple(a for a in ring.elements() if unit_regular_witness(ring, a) is not None)
+    return ring.cached("unit_regular_set", lambda: tuple(
+        a for a in ring.elements() if unit_regular_witness(ring, a) is not None))
 
 
 def is_unit_regular_ring(ring: FiniteRing) -> bool:
@@ -119,21 +134,16 @@ def is_unit_regular_ring(ring: FiniteRing) -> bool:
 def classify(ring: FiniteRing, a: int) -> RegularityWitness:
     """Strongest regularity kind of a, with witnesses.
 
-    Two-sided unit regularity is tried first, then each one-sided variant,
-    then bare regularity. On finite carriers the one-sided branches are
-    unreachable, which the property tests confirm; they are kept for the
-    honesty of the classification, not for speed.
+    Two-sided unit regularity is tried first, then bare regularity. The
+    one-sided kinds are never returned: a one-sided unit of a finite ring is
+    two-sided (see the module docstring), so once the two-sided search has
+    failed a one-sided search cannot succeed. The collapse test keeps that
+    claim checked.
     """
     pair = unit_regular_witness(ring, a)
     if pair is not None:
         u, u_inv = pair
         return RegularityWitness(RegularityKind.UNIT_REGULAR, t=u, u=u, u_partner=u_inv)
-    for side, kind in (("right", RegularityKind.RIGHT_UNIT_REGULAR),
-                       ("left", RegularityKind.LEFT_UNIT_REGULAR)):
-        pair = one_sided_unit_regular_witness(ring, a, side)
-        if pair is not None:
-            u, v = pair
-            return RegularityWitness(kind, t=u, u=u, u_partner=v)
     t = regular_witness(ring, a)
     if t is not None:
         return RegularityWitness(RegularityKind.REGULAR, t=t)

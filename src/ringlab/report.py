@@ -12,16 +12,15 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .corners import as_idempotent, corner_ring, idempotents
+from .corners import as_idempotent, idempotents
 from .regularity import classify, regular_set, unit_regular_set, RegularityKind
 from .rings import DEFAULT_AXIOM_CAP, FiniteRing, check_ring_axioms
 from .theorem import (
     CONDITION_LABELS,
     InconsistencyError,
     extract_corner_witness,
-    implication_violations,
     PreconditionError,
-    theorem_verdict,
+    verify_equivalences,
     verify_ur_inheritance,
 )
 from .shift import run_shift_demo
@@ -94,10 +93,7 @@ def classify_payload(ring: FiniteRing) -> tuple[dict, bool]:
         "idempotent_count": len(idempotents(ring)),
         "unit_regular_set": list(unit_regular_set(ring)) if listing else None,
         "regular_set": list(regular_set(ring)) if listing else None,
-        "unit_regular_count": sum(
-            kinds[k.value] for k in (RegularityKind.UNIT_REGULAR,
-                                     RegularityKind.LEFT_UNIT_REGULAR,
-                                     RegularityKind.RIGHT_UNIT_REGULAR)),
+        "unit_regular_count": kinds[RegularityKind.UNIT_REGULAR.value],
         "regular_count": ring.size - kinds[RegularityKind.NOT_REGULAR.value],
         "is_unit_regular_ring": kinds[RegularityKind.UNIT_REGULAR.value] == ring.size,
         "kinds": kinds,
@@ -138,25 +134,15 @@ def verify_payload(ring: FiniteRing, idempotent_code: Optional[int] = None,
     blocks = []
     try:
         for idem in idems:
-            per_element = []
-            agree = True
-            for a in corner_ring(ring, idem).elements():
-                report = theorem_verdict(ring, idem, a)
-                violations = implication_violations(report)
-                if not report.consistent or violations:
-                    raise InconsistencyError(report.to_dict())
-                agree = agree and report.consistent
-                per_element.append({
-                    "a": a,
-                    "conditions": {label: report.conditions[label]
-                                   for label in CONDITION_LABELS},
-                })
+            # strict sweep: any disagreement raises, so each block is consistent
+            reports = verify_equivalences(ring, idem)
             blocks.append({
                 "e": idem.e,
                 "f": idem.f,
-                "corner_size": len(per_element),
-                "all_consistent": agree,
-                "per_element": per_element,
+                "corner_size": len(reports),
+                "all_consistent": True,
+                "per_element": [{"a": r.a, "conditions": dict(r.conditions)}
+                                for r in reports],
             })
     except InconsistencyError as err:
         payload["verdicts"] = None
@@ -167,8 +153,7 @@ def verify_payload(ring: FiniteRing, idempotent_code: Optional[int] = None,
     payload["verdicts"] = blocks
     inheritance = verify_ur_inheritance(ring)
     payload["inheritance"] = inheritance.to_dict()
-    all_ok = all(block["all_consistent"] for block in blocks) and inheritance.ok
-    return payload, all_ok
+    return payload, inheritance.ok
 
 
 def witness_payload(ring: FiniteRing, e: int, a: int, b: int, u: int,
@@ -176,7 +161,10 @@ def witness_payload(ring: FiniteRing, e: int, a: int, b: int, u: int,
     idem = as_idempotent(ring, e)
     ring.check_element(a)
     ring.check_element(b)
-    if v is None:
+    ring.check_element(u)
+    if v is not None:
+        ring.check_element(v)
+    else:
         v = ring.inverse_of(u)
         if v is None:
             raise PreconditionError("u_not_invertible", f"u={u} is not a unit")

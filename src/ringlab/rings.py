@@ -4,9 +4,9 @@ Carriers built here are dense: codes run 0..size-1 and code 0 is always the
 zero element. Constructions compose freely: integers mod n, full and
 upper-triangular matrix rings over any base, direct products, and raw Cayley
 tables. Small carriers precompute their tables once; larger ones evaluate
-structurally per call. Instances are immutable after construction, so they
-are safe to share between threads or worker processes, and every derived
-sweep over them is deterministic.
+structurally per call. Arithmetic is fixed at construction; derived sweeps
+(units, idempotents, corners, regularity witnesses) are memoised lazily on
+the instance and freed with it. Every derived sweep is deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 DEFAULT_SIZE_CAP = 2 ** 20
 DEFAULT_AXIOM_CAP = 2 ** 8
@@ -46,6 +46,9 @@ class FiniteRing:
     two-sided linear scan in ascending code order; structured subclasses
     override inverse_of with construction-aware fast paths that must agree
     with the scan.
+
+    Derived sweeps live in one per-instance memo, filled through cached(),
+    so they are freed with the ring.
     """
 
     def __init__(self, size: int, one: int, commutative: bool) -> None:
@@ -56,7 +59,19 @@ class FiniteRing:
         self._add_table: Optional[list[list[int]]] = None
         self._mul_table: Optional[list[list[int]]] = None
         self._neg_table: Optional[list[int]] = None
-        self._units: Optional[dict[int, int]] = None
+        self._memo: dict = {}
+
+    def cached(self, key, compute: Callable[[], Any]) -> Any:
+        """Value of a derived sweep, computed by compute() on first use.
+
+        Per-element results live in a dict stored under one key, e.g.
+        cached("unit_regular_witness", dict). Callers racing on a key may
+        each compute it; sweeps are deterministic, so they store equal values.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     # carrier ---------------------------------------------------------------
 
@@ -130,14 +145,15 @@ class FiniteRing:
         The mapping is closed under swapping: if u maps to v then v maps to u.
         Treat the returned dict as read-only.
         """
-        if self._units is None:
+        def sweep() -> dict[int, int]:
             table: dict[int, int] = {}
             for x in self.elements():
                 v = self.inverse_of(x)
                 if v is not None:
                     table[x] = v
-            self._units = table
-        return self._units
+            return table
+
+        return self.cached("units", sweep)
 
     def unit_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.units().items())

@@ -16,7 +16,9 @@ Conditions 1 through 5 except 4' are expected to agree on every input; 4' is
 strictly weaker (it follows from 1 by taking b = 0) and is evaluated and
 recorded but never folded into the consistency verdict. The weaker one-way
 facts, such as condition 4 forcing condition 3, are kept as an explicit
-implication chain so a broken search would be caught twice.
+implication chain. Every condition reads the same per-ring memo of witness
+searches, so a broken search would break them alike; tests/test_memo.py
+catches that by comparing the memo with plain scans on the curated family.
 
 Witness recovery goes the other way: from a unit-regularity equation for
 a + b in R it rebuilds a corner witness u' = e(u - u*b*u)e, v' = e*v*e and
@@ -258,7 +260,12 @@ class CornerWitness:
         }
 
 
-def _witness_inputs(ring: FiniteRing, idem: Idempotent, a: int, b: int, u: int):
+def _witness_inputs(ring: FiniteRing, idem: Idempotent, a: int, b: int, u: int,
+                    v: Optional[int]):
+    # codes first: a bad code is unusable input before any hypothesis fails
+    ring.check_element(u)
+    if v is not None:
+        ring.check_element(v)
     ee = corner_ring(ring, idem)
     ff = corner_ring(ring, complement(ring, idem))
     if not ee.contains(a):
@@ -269,7 +276,6 @@ def _witness_inputs(ring: FiniteRing, idem: Idempotent, a: int, b: int, u: int):
         raise PreconditionError(
             "b_not_in_complement_corner",
             f"{ring.element_repr(b)} is not in the corner at f={idem.f}")
-    ring.check_element(u)
     x = ring.add(a, b)
     if ring.mul3(x, u, x) != x:
         raise PreconditionError(
@@ -316,7 +322,7 @@ def extract_corner_witness(ring: FiniteRing, idem: Idempotent, a: int, b: int,
     conditions (uv-1)e = 0 and e(vu-1) = 0 are required of the pair, which
     is all the reconstruction consumes.
     """
-    ff, _ = _witness_inputs(ring, idem, a, b, u)
+    ff, _ = _witness_inputs(ring, idem, a, b, u, v)
     status = zero_divisor_status(ff, b)
     if status.left:
         raise PreconditionError(
@@ -331,7 +337,6 @@ def extract_corner_witness(ring: FiniteRing, idem: Idempotent, a: int, b: int,
         if v is None:
             raise PreconditionError("u_not_invertible", f"u={u} is not a unit")
     else:
-        ring.check_element(v)
         e = idem.e
         uv_defect = ring.mul(ring.sub(ring.mul(u, v), ring.one), e)
         vu_defect = ring.mul(e, ring.sub(ring.mul(v, u), ring.one))
@@ -358,7 +363,7 @@ def extract_one_sided_corner_witness(ring: FiniteRing, idem: Idempotent,
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    ff, _ = _witness_inputs(ring, idem, a, b, u)
+    ff, _ = _witness_inputs(ring, idem, a, b, u, v)
     status = zero_divisor_status(ff, b)
     if side == "right" and status.right:
         raise PreconditionError(
@@ -379,7 +384,6 @@ def extract_one_sided_corner_witness(ring: FiniteRing, idem: Idempotent,
             raise PreconditionError(
                 "no_partner_on_side", f"u={u} has no {side} inverse")
     else:
-        ring.check_element(v)
         e = idem.e
         if side == "right":
             defect = ring.mul(ring.sub(ring.mul(u, v), ring.one), e)

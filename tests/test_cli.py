@@ -86,6 +86,21 @@ def test_witness_pass_and_fail(schema):
     assert doc["payload"]["reason"] == "middle_identity_fails"
 
 
+def test_witness_bad_middle_code_is_a_usage_error():
+    # out-of-range codes exit 2 whether or not gcd(u, 6) = 1
+    base = ["witness", "--ring", "Z6", "--e", "3", "--a", "3", "--b", "4"]
+    assert run_command(base + ["--u", "97"]) == (EXIT_USAGE, None)
+    assert run_command(base + ["--u", "99"]) == (EXIT_USAGE, None)
+    assert run_command(base + ["--u", "1", "--v", "99"]) == (EXIT_USAGE, None)
+
+
+def test_witness_in_range_non_unit_still_fails_the_check(schema):
+    code, doc = run_ok(["witness", "--ring", "Z6", "--e", "3", "--a", "3",
+                        "--b", "4", "--u", "3"], schema)
+    assert code == EXIT_FAIL
+    assert doc["payload"]["reason"] == "u_not_invertible"
+
+
 def test_shift_demo(schema):
     code, doc = run_ok(["shift-demo", "--truncation", "4"], schema)
     assert code == EXIT_PASS and doc["ring"] == "band"

@@ -8,6 +8,7 @@ matrix and triangular codes come from the codecs pinned in test_rings.
 import pytest
 
 from ringlab import (
+    CURATED_FAMILY,
     CornerRing,
     Idempotent,
     as_idempotent,
@@ -112,6 +113,24 @@ def test_corner_units_frozen(rings):
     ring = rings("Z6")
     corner = corner_ring(ring, as_idempotent(ring, 4))
     assert corner.units() == {2: 2, 4: 4}
+
+
+@pytest.mark.parametrize("spec", CURATED_FAMILY)
+def test_corner_inverse_fast_path_agrees_with_scan(rings, spec):
+    # every ambient code, so codes outside the carrier are covered too
+    ring = rings(spec)
+    for idem in idempotents(ring):
+        corner = corner_ring(ring, idem)
+        for x in ring.elements():
+            assert corner.inverse_of(x) == corner._scan_inverse(x), (spec, idem, x)
+
+
+def test_corner_inverse_outside_carrier_keeps_scan_answer(rings):
+    # 1 = e + f is outside eRe, yet e inverts it on both sides there
+    ring = rings("Z6")
+    corner = corner_ring(ring, as_idempotent(ring, 3))
+    assert not corner.contains(1)
+    assert corner.inverse_of(1) == corner._scan_inverse(1) == 3
 
 
 def test_corner_is_cached(rings):

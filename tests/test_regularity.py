@@ -8,8 +8,10 @@ cannot be regular. Everything else is property sweeps.
 
 import pytest
 
+import ringlab.regularity as regularity_mod
 from ringlab import (
     RegularityKind,
+    build_ring,
     classify,
     is_unit_regular_ring,
     one_sided_unit_regular_witness,
@@ -89,6 +91,16 @@ def test_classify_strongest_kind(rings):
     w = classify(rings("Z4"), 2)
     assert w.kind is RegularityKind.NOT_REGULAR
     assert w.t is None and w.u is None and w.u_partner is None
+
+
+def test_classify_never_runs_the_one_sided_search(monkeypatch):
+    def fail(*args):
+        raise AssertionError("one-sided search reached from classify")
+
+    monkeypatch.setattr(regularity_mod, "one_sided_unit_regular_witness", fail)
+    ring = build_ring("T2(Z2)")  # fresh, so nothing is memoised yet
+    kinds = [classify(ring, a).kind for a in ring.elements()]
+    assert kinds.count(RegularityKind.NOT_REGULAR) == 1
 
 
 def test_one_sided_collapses_to_two_sided_on_finite_carriers(rings):

@@ -290,6 +290,20 @@ def test_two_sided_precondition_failures(rings, spec, kwargs, reason):
     assert isinstance(exc.value, ValueError)
 
 
+@pytest.mark.parametrize("extract", [
+    extract_corner_witness,
+    lambda *args, **kw: extract_one_sided_corner_witness(*args, side="right", **kw),
+])
+def test_bad_codes_are_rejected_before_any_hypothesis(rings, extract):
+    # a=1 is outside the corner at e=3, yet the bad code is what gets reported
+    z6 = rings("Z6")
+    idem = as_idempotent(z6, 3)
+    for kwargs in (dict(u=99), dict(u=1, v=99)):
+        with pytest.raises(ValueError) as exc:
+            extract(z6, idem, a=1, b=4, **kwargs)
+        assert not isinstance(exc.value, PreconditionError)
+
+
 def test_one_sided_precondition_failures(rings):
     z12 = rings("Z12")
     with pytest.raises(PreconditionError) as exc:
