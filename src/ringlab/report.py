@@ -224,8 +224,7 @@ def emit_report(doc: dict, fmt: str = "json") -> str:
     payload = doc.get("payload") or {}
     renderer = _HUMAN_RENDERERS.get(doc["command"])
     if doc["status"] == "capped":
-        lines.append(
-            f"carrier size {payload.get('cardinality')} exceeds cap {payload.get('cap')}")
+        lines.append(payload["message"])
     elif "error" in payload:
         lines.append(f"error: {payload['error']}")
         if payload.get("reason"):

@@ -19,6 +19,10 @@ from typing import Any, Callable, Iterable, Optional
 DEFAULT_SIZE_CAP = 2 ** 20
 DEFAULT_AXIOM_CAP = 2 ** 8
 
+# Cardinalities below 10 ** EXACT_CARDINALITY_DIGITS are reported exactly;
+# larger carriers are refused whatever the cap, with cardinality None.
+EXACT_CARDINALITY_DIGITS = 4000
+
 # Cayley tables are built eagerly up to this carrier size; the quadratic
 # build cost must stay negligible next to the sweeps the tables accelerate.
 _TABLE_THRESHOLD = 128
@@ -27,8 +31,9 @@ _TABLE_THRESHOLD = 128
 class SizeCapError(Exception):
     """A construction or sweep would exceed the configured enumeration cap."""
 
-    def __init__(self, cardinality: int, cap: int) -> None:
-        super().__init__(f"carrier of size {cardinality} exceeds cap {cap}")
+    def __init__(self, cardinality: Optional[int], cap: int) -> None:
+        size = f"above 10^{EXACT_CARDINALITY_DIGITS}" if cardinality is None else cardinality
+        super().__init__(f"carrier of size {size} exceeds cap {cap}")
         self.cardinality = cardinality
         self.cap = cap
 
@@ -231,84 +236,119 @@ def _det(base: FiniteRing, rows) -> int:
     return total
 
 
-class MatrixRing(FiniteRing):
-    """Full k-by-k matrix ring over a base ring.
+class _SquareRing(FiniteRing):
+    """k-by-k matrices over a base ring whose entries live in fixed slots.
 
-    Codes are mixed-radix over the k*k entry slots in row-major order, first
-    slot most significant. Inversion uses the determinant/adjugate fast path
-    only when the construction tree proves the base commutative; otherwise it
-    falls back to the generic two-sided scan.
+    The slot codec: a subclass picks its slots, the (i, j) positions an
+    entry may occupy (every position for the full ring, i <= j for the
+    triangular one); every other entry is the base zero. A code is
+    mixed-radix over the slots in row-major order, first slot most
+    significant, each digit a base code. Arithmetic runs on the flat list of
+    slot digits: entry (i, j) of a product sums a[i][l]*b[l][j] over the l
+    for which (i, l) and (l, j) are both slots, listed once per ring in
+    ascending l. decode/encode convert to and from nested row tuples.
     """
 
-    def __init__(self, k: int, base: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> None:
+    def __init__(self, k: int, base: FiniteRing, slots: tuple[tuple[int, int], ...],
+                 size_cap: int) -> None:
         if k < 1:
             raise ValueError(f"matrix dimension must be >= 1, got {k}")
-        cardinality = base.size ** (k * k)
+        cardinality = base.size ** len(slots)
         require_cap(cardinality, size_cap)
         self.k = k
         self.base = base
-        one = self.encode(tuple(
-            tuple(base.one if i == j else base.zero for j in range(k))
-            for i in range(k)))
+        self._slots = slots
+        index = {slot: p for p, slot in enumerate(slots)}
+        self._off_slots = tuple((i, j) for i in range(k) for j in range(k)
+                                if (i, j) not in index)
+        self._mul_terms = tuple(
+            tuple((index[i, l], index[l, j]) for l in range(k)
+                  if (i, l) in index and (l, j) in index)
+            for i, j in slots)
+        one = self._pack(base.one if i == j else base.zero for i, j in slots)
         commutative = base.is_commutative if k == 1 else cardinality == 1
         super().__init__(size=cardinality, one=one, commutative=commutative)
         self._init_tables()
 
-    def decode(self, code: int):
+    def _digits(self, code: int) -> list[int]:
         B = self.base.size
-        slots = []
-        for _ in range(self.k * self.k):
-            code, r = divmod(code, B)
-            slots.append(r)
-        slots.reverse()
-        it = iter(slots)
-        return tuple(tuple(next(it) for _ in range(self.k)) for _ in range(self.k))
+        digits = [0] * len(self._slots)
+        for p in range(len(digits) - 1, -1, -1):
+            code, digits[p] = divmod(code, B)
+        return digits
 
-    def encode(self, rows) -> int:
+    def _pack(self, digits) -> int:
         B = self.base.size
         code = 0
-        for row in rows:
-            for entry in row:
-                code = code * B + entry
+        for d in digits:
+            code = code * B + d
         return code
 
+    def decode(self, code: int):
+        k = self.k
+        rows = [[self.base.zero] * k for _ in range(k)]
+        for (i, j), v in zip(self._slots, self._digits(code)):
+            rows[i][j] = v
+        return tuple(tuple(row) for row in rows)
+
+    def encode(self, rows) -> int:
+        if any(rows[i][j] != self.base.zero for i, j in self._off_slots):
+            raise ValueError("entries below the diagonal must be zero")
+        return self._pack(rows[i][j] for i, j in self._slots)
+
     def _raw_add(self, a: int, b: int) -> int:
-        ra, rb = self.decode(a), self.decode(b)
-        base = self.base
-        return self.encode(tuple(
-            tuple(base.add(x, y) for x, y in zip(r1, r2))
-            for r1, r2 in zip(ra, rb)))
+        add = self.base.add
+        return self._pack([add(x, y) for x, y in zip(self._digits(a), self._digits(b))])
 
     def _raw_neg(self, a: int) -> int:
-        base = self.base
-        return self.encode(tuple(tuple(base.neg(x) for x in row) for row in self.decode(a)))
+        neg = self.base.neg
+        return self._pack([neg(x) for x in self._digits(a)])
 
     def _raw_mul(self, a: int, b: int) -> int:
-        ra, rb = self.decode(a), self.decode(b)
-        base, k = self.base, self.k
+        da, db = self._digits(a), self._digits(b)
+        add, mul, zero = self.base.add, self.base.mul, self.base.zero
         out = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                acc = base.zero
-                for l in range(k):
-                    acc = base.add(acc, base.mul(ra[i][l], rb[l][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return self.encode(tuple(out))
+        for terms in self._mul_terms:
+            acc = zero
+            for p, q in terms:
+                acc = add(acc, mul(da[p], db[q]))
+            out.append(acc)
+        return self._pack(out)
+
+    def element_repr(self, x: int) -> str:
+        entry = self.base.element_repr
+        return "[" + ",".join(
+            "[" + ",".join(map(entry, row)) + "]" for row in self.decode(x)) + "]"
+
+
+class MatrixRing(_SquareRing):
+    """Full k-by-k matrix ring over a base ring; every entry is a slot.
+
+    Inversion uses the determinant/adjugate fast path only when the
+    construction tree proves the base commutative; otherwise it falls back
+    to the generic two-sided scan.
+    """
+
+    def __init__(self, k: int, base: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> None:
+        super().__init__(k, base, tuple((i, j) for i in range(k) for j in range(k)),
+                         size_cap)
+
+    # The benchmark tracer (perfbench/tracer.py) wraps these through each
+    # class's own __dict__, so both subclasses bind them.
+    _raw_add = _SquareRing._raw_add
+    _raw_neg = _SquareRing._raw_neg
+    _raw_mul = _SquareRing._raw_mul
 
     def inverse_of(self, x: int) -> Optional[int]:
-        if not self.base.is_commutative:
+        base = self.base
+        if not base.is_commutative:
             return self._scan_inverse(x)
         rows = self.decode(x)
-        det = _det(self.base, rows)
-        det_inv = self.base.inverse_of(det)
+        det_inv = base.inverse_of(_det(base, rows))
         if det_inv is None:
             return None
-        adj = self._adjugate(rows)
-        base = self.base
-        inv_rows = tuple(tuple(base.mul(det_inv, entry) for entry in row) for row in adj)
-        return self.encode(inv_rows)
+        return self.encode([[base.mul(det_inv, entry) for entry in row]
+                            for row in self._adjugate(rows)])
 
     def _adjugate(self, rows):
         k = self.k
@@ -328,86 +368,27 @@ class MatrixRing(FiniteRing):
             out.append(tuple(row))
         return tuple(out)
 
-    def element_repr(self, x: int) -> str:
-        rows = self.decode(x)
-        base = self.base
-        return "[" + ",".join(
-            "[" + ",".join(base.element_repr(v) for v in row) + "]" for row in rows) + "]"
-
     @property
     def spec_string(self) -> str:
         return f"M{self.k}({self.base.spec_string})"
 
 
-class TriangularRing(FiniteRing):
+class TriangularRing(_SquareRing):
     """Upper-triangular k-by-k matrices over a base ring.
 
-    Only the k(k+1)/2 on-or-above-diagonal slots are stored, row-major, first
-    slot most significant. An element is a unit exactly when every diagonal
-    entry is a unit of the base; the inverse is then found by
-    back-substitution, which stays valid over a noncommutative base.
+    Only the k(k+1)/2 on-or-above-diagonal slots are stored. An element is a
+    unit exactly when every diagonal entry is a unit of the base; the
+    inverse is then found by back-substitution, which stays valid over a
+    noncommutative base.
     """
 
     def __init__(self, k: int, base: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> None:
-        if k < 1:
-            raise ValueError(f"matrix dimension must be >= 1, got {k}")
-        self._slots = tuple((i, j) for i in range(k) for j in range(i, k))
-        cardinality = base.size ** len(self._slots)
-        require_cap(cardinality, size_cap)
-        self.k = k
-        self.base = base
-        one = self.encode(tuple(
-            tuple(base.one if i == j else base.zero for j in range(k))
-            for i in range(k)))
-        commutative = base.is_commutative if k == 1 else cardinality == 1
-        super().__init__(size=cardinality, one=one, commutative=commutative)
-        self._init_tables()
+        super().__init__(k, base, tuple((i, j) for i in range(k) for j in range(i, k)),
+                         size_cap)
 
-    def decode(self, code: int):
-        B = self.base.size
-        vals = []
-        for _ in range(len(self._slots)):
-            code, r = divmod(code, B)
-            vals.append(r)
-        vals.reverse()
-        rows = [[self.base.zero] * self.k for _ in range(self.k)]
-        for (i, j), v in zip(self._slots, vals):
-            rows[i][j] = v
-        return tuple(tuple(row) for row in rows)
-
-    def encode(self, rows) -> int:
-        for i in range(self.k):
-            for j in range(i):
-                if rows[i][j] != self.base.zero:
-                    raise ValueError("entries below the diagonal must be zero")
-        B = self.base.size
-        code = 0
-        for i, j in self._slots:
-            code = code * B + rows[i][j]
-        return code
-
-    def _raw_add(self, a: int, b: int) -> int:
-        ra, rb = self.decode(a), self.decode(b)
-        base = self.base
-        return self.encode(tuple(
-            tuple(base.add(x, y) for x, y in zip(r1, r2))
-            for r1, r2 in zip(ra, rb)))
-
-    def _raw_neg(self, a: int) -> int:
-        base = self.base
-        return self.encode(tuple(tuple(base.neg(x) for x in row) for row in self.decode(a)))
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        ra, rb = self.decode(a), self.decode(b)
-        base, k = self.base, self.k
-        out = [[base.zero] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                acc = base.zero
-                for l in range(i, j + 1):
-                    acc = base.add(acc, base.mul(ra[i][l], rb[l][j]))
-                out[i][j] = acc
-        return self.encode(tuple(tuple(row) for row in out))
+    _raw_add = _SquareRing._raw_add
+    _raw_neg = _SquareRing._raw_neg
+    _raw_mul = _SquareRing._raw_mul
 
     def inverse_of(self, x: int) -> Optional[int]:
         base, k = self.base, self.k
@@ -426,13 +407,7 @@ class TriangularRing(FiniteRing):
                 for l in range(i + 1, j + 1):
                     acc = base.add(acc, base.mul(rows[i][l], inv[l][j]))
                 inv[i][j] = base.mul(diag_inv[i], base.neg(acc))
-        return self.encode(tuple(tuple(row) for row in inv))
-
-    def element_repr(self, x: int) -> str:
-        rows = self.decode(x)
-        base = self.base
-        return "[" + ",".join(
-            "[" + ",".join(base.element_repr(v) for v in row) + "]" for row in rows) + "]"
+        return self.encode(inv)
 
     @property
     def spec_string(self) -> str:

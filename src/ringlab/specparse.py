@@ -9,23 +9,30 @@ Z names the integers mod n, M and T the full and upper-triangular square
 matrix rings over the bracketed description, and x the direct product,
 associating to the left. Cardinality is computed on the tree before any
 carrier is allocated, so a description that blows past the size cap is
-rejected without building anything.
+rejected without building anything. A description may nest at most
+MAX_SPEC_DEPTH brackets, and its tree may be at most MAX_SPEC_DEPTH levels
+high, so every recursion over a parsed tree stays shallow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .rings import (
     DEFAULT_SIZE_CAP,
+    EXACT_CARDINALITY_DIGITS,
     FiniteRing,
     MatrixRing,
     ProductRing,
+    SizeCapError,
     TriangularRing,
     ZmodRing,
     require_cap,
 )
+
+MAX_SPEC_DEPTH = 100
 
 
 class RingSpecError(ValueError):
@@ -80,26 +87,37 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse_spec(self) -> RingSpec:
-        node = self.parse_term()
+    # parse_spec and parse_term return (node, tree height); depth counts
+    # the brackets open around the current position.
+
+    def parse_spec(self, depth: int) -> tuple[RingSpec, int]:
+        self.check_depth(depth)
+        node, height = self.parse_term(depth)
         while self.peek().lower() == "x":
             self.pos += 1
-            node = ProductSpec(left=node, right=self.parse_term())
-        return node
+            right, right_height = self.parse_term(depth)
+            node, height = ProductSpec(left=node, right=right), max(height, right_height) + 1
+            self.check_depth(height)
+        return node, height
 
-    def parse_term(self) -> RingSpec:
+    def check_depth(self, depth: int) -> None:
+        if depth > MAX_SPEC_DEPTH:
+            raise RingSpecError(f"description nested deeper than {MAX_SPEC_DEPTH} levels",
+                                self.pos)
+
+    def parse_term(self, depth: int) -> tuple[RingSpec, int]:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            node = self.parse_spec()
+            node, height = self.parse_spec(depth + 1)
             if self.peek() != ")":
                 raise RingSpecError("unclosed group", self.pos, expected="')'")
             self.pos += 1
-            return node
+            return node, height
         kind = ch.lower()
         if kind == "z":
             self.pos += 1
-            return ZmodSpec(n=self.parse_nat())
+            return ZmodSpec(n=self.parse_nat()), 1
         if kind in ("m", "t"):
             self.pos += 1
             k = self.parse_nat()
@@ -107,11 +125,13 @@ class _Parser:
                 raise RingSpecError("matrix constructor needs a base ring",
                                     self.pos, expected="'('")
             self.pos += 1
-            inner = self.parse_spec()
+            inner, height = self.parse_spec(depth + 1)
             if self.peek() != ")":
                 raise RingSpecError("unclosed constructor", self.pos, expected="')'")
             self.pos += 1
-            return MatrixSpec(k, inner) if kind == "m" else TriangularSpec(k, inner)
+            self.check_depth(height + 1)
+            node = MatrixSpec(k, inner) if kind == "m" else TriangularSpec(k, inner)
+            return node, height + 1
         raise RingSpecError(f"unexpected {ch!r}" if ch else "unexpected end of input",
                             self.pos, expected="'Z', 'M', 'T' or '('")
 
@@ -130,7 +150,7 @@ class _Parser:
 
 def parse_ring_spec(text: str) -> RingSpec:
     parser = _Parser(text)
-    node = parser.parse_spec()
+    node, _ = parser.parse_spec(0)
     parser.skip_ws()
     if parser.pos != len(text):
         raise RingSpecError(f"trailing input {text[parser.pos:]!r}", parser.pos)
@@ -165,10 +185,39 @@ def spec_cardinality(node: RingSpec) -> int:
     raise TypeError(f"not a ring spec node: {node!r}")
 
 
+def _log10_cardinality(node: RingSpec) -> float:
+    """log10 of spec_cardinality, in floats, so it is cheap at any size."""
+    if isinstance(node, ZmodSpec):
+        return math.log10(node.n)
+    if isinstance(node, ProductSpec):
+        return _log10_cardinality(node.left) + _log10_cardinality(node.right)
+    if isinstance(node, MatrixSpec):
+        slots = node.k * node.k
+    elif isinstance(node, TriangularSpec):
+        slots = node.k * (node.k + 1) // 2
+    else:
+        raise TypeError(f"not a ring spec node: {node!r}")
+    inner = _log10_cardinality(node.inner)
+    if inner == 0.0:  # matrices over the zero ring form the zero ring
+        return 0.0
+    try:
+        return inner * slots
+    except OverflowError:  # slots beyond float range while inner >= log10(2)
+        return math.inf
+
+
 def build_ring(spec_or_text: Union[RingSpec, str],
                size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
+    """Parse if needed, check the size cap on the tree, then build.
+
+    A carrier of 10 ** EXACT_CARDINALITY_DIGITS elements or more is refused
+    from the float estimate alone, with cardinality None: its exact size
+    would cost more to compute and print than the refusal is worth.
+    """
     node = (parse_ring_spec(spec_or_text)
             if isinstance(spec_or_text, str) else spec_or_text)
+    if _log10_cardinality(node) >= EXACT_CARDINALITY_DIGITS:
+        raise SizeCapError(None, size_cap)
     require_cap(spec_cardinality(node), size_cap)
     return _build(node, size_cap)
 

@@ -77,6 +77,20 @@ class InconsistencyError(Exception):
         self.bundle = bundle
 
 
+# Conditions 3 through 5 sweep a + b over one subset of fRf, every or some:
+# label -> (candidate b in ascending code order, universal?). The candidates
+# are computed at call time through the module names, and those of 5 stay a
+# generator, so each zero-divisor test runs only until a witness is found.
+_SWEEPS = {
+    "3": (lambda ff: ff.units(), True),
+    "3'": (lambda ff: ff.units(), False),
+    "4": (lambda ff: unit_regular_set(ff), True),
+    "4'": (lambda ff: unit_regular_set(ff), False),
+    "5": (lambda ff: (b for b in ff.elements() if zero_divisor_status(ff, b).clear),
+          False),
+}
+
+
 def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
                     label: str) -> tuple[bool, Optional[dict]]:
     """Evaluate one condition for a in eRe; returns (holds, witness).
@@ -93,9 +107,6 @@ def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
             "a_not_in_corner",
             f"{ring.element_repr(a)} is not in the corner at e={idem.e}")
 
-    def ur_pair(x: int) -> Optional[tuple[int, int]]:
-        return unit_regular_witness(ring, x)
-
     if label == "1":
         pair = unit_regular_witness(ee, a)
         return (pair is not None,
@@ -103,48 +114,22 @@ def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
 
     if label == "2":
         s = ring.add(a, idem.f)
-        pair = ur_pair(s)
+        pair = unit_regular_witness(ring, s)
         return (pair is not None,
                 {"sum": s, "u": pair[0], "u_inv": pair[1]} if pair else None)
 
-    if label == "3":
-        candidates = list(ff.units())
-        for b in candidates:
-            if ur_pair(ring.add(a, b)) is None:
-                return (False, {"failing_b": b})
-        return (True, {"checked": len(candidates)})
-
-    if label == "3'":
-        for b in ff.units():
-            pair = ur_pair(ring.add(a, b))
-            if pair is not None:
-                return (True, {"b": b, "u": pair[0], "u_inv": pair[1]})
-        return (False, None)
-
-    if label == "4":
-        candidates = unit_regular_set(ff)
-        for b in candidates:
-            if ur_pair(ring.add(a, b)) is None:
-                return (False, {"failing_b": b})
-        return (True, {"checked": len(candidates)})
-
-    if label == "4'":
-        for b in unit_regular_set(ff):
-            pair = ur_pair(ring.add(a, b))
-            if pair is not None:
-                return (True, {"b": b, "u": pair[0], "u_inv": pair[1]})
-        return (False, None)
-
-    if label == "5":
-        for b in ff.elements():
-            if not zero_divisor_status(ff, b).clear:
-                continue
-            pair = ur_pair(ring.add(a, b))
-            if pair is not None:
-                return (True, {"b": b, "u": pair[0], "u_inv": pair[1]})
-        return (False, None)
-
-    raise ValueError(f"unknown condition label {label!r}")
+    if label not in _SWEEPS:
+        raise ValueError(f"unknown condition label {label!r}")
+    candidates, universal = _SWEEPS[label]
+    checked = 0
+    for b in candidates(ff):
+        pair = unit_regular_witness(ring, ring.add(a, b))
+        if universal and pair is None:
+            return (False, {"failing_b": b})
+        if not universal and pair is not None:
+            return (True, {"b": b, "u": pair[0], "u_inv": pair[1]})
+        checked += 1
+    return (True, {"checked": checked}) if universal else (False, None)
 
 
 @dataclass

@@ -8,6 +8,7 @@ and console wiring actually exist.
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -208,6 +209,35 @@ def test_size_cap_env_and_flag_priority(monkeypatch, schema):
     # explicit flag beats the environment
     code, doc = run_ok(["classify", "--ring", "Z12", "--size-cap", "128"], schema)
     assert code == EXIT_PASS
+
+
+def timed_run(argv):
+    start = time.perf_counter()
+    code, doc = run_command(argv)
+    return code, doc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("spec", [
+    "(" * 1200 + "Z2" + ")" * 1200,
+    "M1(" * 400 + "Z2" + ")" * 400,
+    "x".join(["Z1"] * 1500),  # a left-deep product tree
+])
+def test_deep_description_is_a_usage_error_in_bounded_time(spec):
+    code, doc, elapsed = timed_run(["classify", "--ring", spec])
+    assert (code, doc) == (EXIT_USAGE, None)
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("spec", ["M40(M40(Z40))", "M99(M99(Z99))"])
+def test_astronomical_carrier_is_capped_in_bounded_time(capsys, schema, spec):
+    code, doc, elapsed = timed_run(["classify", "--ring", spec])
+    assert code == EXIT_CAP and elapsed < 1.0
+    jsonschema.validate(doc, schema)
+    assert doc["payload"]["cardinality"] is None
+    assert "10^4000" in doc["payload"]["message"]
+    assert main(["classify", "--ring", spec]) == EXIT_CAP
+    out = capsys.readouterr().out
+    assert "status: capped" in out and "None" not in out
 
 
 def test_invalid_cap_env_is_a_usage_error(monkeypatch):

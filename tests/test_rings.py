@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ringlab import (
@@ -100,6 +102,83 @@ def test_triangular_codec_rejects_below_diagonal(rings):
     t = rings("T2(Z2)")
     with pytest.raises(ValueError):
         t.encode(((0, 0), (1, 0)))
+
+
+# The slot codec's flat-digit arithmetic against plain nested-tuple matrix
+# arithmetic written here, reaching the ring only through decode/encode and
+# the base ring's own operations. Summing l over all of range(k) is right for
+# triangular matrices too: every product outside i <= l <= j is zero.
+
+
+def _oracle_add(ring, a, b):
+    base = ring.base
+    return ring.encode(tuple(tuple(base.add(x, y) for x, y in zip(r1, r2))
+                             for r1, r2 in zip(ring.decode(a), ring.decode(b))))
+
+
+def _oracle_neg(ring, a):
+    return ring.encode(tuple(tuple(ring.base.neg(x) for x in row)
+                             for row in ring.decode(a)))
+
+
+def _oracle_mul(ring, a, b):
+    base, k = ring.base, ring.k
+    ra, rb = ring.decode(a), ring.decode(b)
+    rows = []
+    for i in range(k):
+        row = []
+        for j in range(k):
+            acc = base.zero
+            for l in range(k):
+                acc = base.add(acc, base.mul(ra[i][l], rb[l][j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return ring.encode(tuple(rows))
+
+
+def _check_against_oracle(ring, pairs):
+    for a, b in pairs:
+        assert ring._raw_add(a, b) == _oracle_add(ring, a, b), (a, b)
+        assert ring._raw_mul(a, b) == _oracle_mul(ring, a, b), (a, b)
+    for a in ring.elements():
+        assert ring._raw_neg(a) == _oracle_neg(ring, a), a
+        assert ring.encode(ring.decode(a)) == a
+
+
+@pytest.mark.parametrize("spec", ["M2(Z2)", "T2(Z3)"])
+def test_slot_codec_matches_oracle_on_every_pair(rings, spec):
+    ring = rings(spec)
+    n = ring.size
+    _check_against_oracle(ring, [(a, b) for a in range(n) for b in range(n)])
+    # tabled carriers: the tables must be the raw operations
+    assert ring._mul_table is not None
+    for a in range(n):
+        assert ring._neg_table[a] == ring._raw_neg(a)
+        for b in range(n):
+            assert ring._add_table[a][b] == ring._raw_add(a, b)
+            assert ring._mul_table[a][b] == ring._raw_mul(a, b)
+
+
+@pytest.mark.parametrize("spec", ["M2(T2(Z2))", "T2(M2(Z2))"])
+def test_slot_codec_matches_oracle_over_noncommutative_base(rings, spec):
+    # 4096 elements, so every element meets a seeded partner on each side
+    # rather than every other element
+    ring = rings(spec)
+    assert not ring.base.is_commutative
+    rng = random.Random(spec)
+    pairs = []
+    for a in ring.elements():
+        b = rng.randrange(ring.size)
+        pairs += [(a, b), (b, a)]
+    _check_against_oracle(ring, pairs)
+
+
+@pytest.mark.parametrize("spec", ["M2(Z4)", "M3(Z2)", "T3(Z2)"])
+def test_slot_codec_matches_oracle_on_seeded_pairs(rings, spec):
+    ring = rings(spec)
+    rng = random.Random(spec)
+    _check_against_oracle(ring, [(rng.randrange(ring.size), rng.randrange(ring.size))
+                                 for _ in range(2000)])
 
 
 # arithmetic and unit fast paths ----------------------------------------------

@@ -20,6 +20,7 @@ from ringlab import (
     spec_cardinality,
     spec_to_text,
 )
+from ringlab.specparse import MAX_SPEC_DEPTH
 
 
 def test_frozen_parses():
@@ -138,6 +139,33 @@ def test_cap_checked_before_any_allocation():
     with pytest.raises(SizeCapError):
         build_ring("Z7", size_cap=6)
     assert build_ring("Z7", size_cap=7).size == 7
+
+
+def test_nesting_is_bounded_at_max_spec_depth():
+    d = MAX_SPEC_DEPTH
+    # d brackets, a tree d levels high, and a d-factor product all parse
+    for text in ("(" * d + "Z2" + ")" * d,
+                 "M1(" * (d - 1) + "Z2" + ")" * (d - 1),
+                 "x".join(["Z1"] * d)):
+        parse_ring_spec(text)
+    for text in ("(" * (d + 1) + "Z2" + ")" * (d + 1),
+                 "M1(" * d + "Z2" + ")" * d,
+                 "x".join(["Z1"] * (d + 1)),
+                 "M1(" * (d - 2) + "Z1xZ1xZ1" + ")" * (d - 2)):
+        with pytest.raises(RingSpecError, match="nested deeper"):
+            parse_ring_spec(text)
+
+
+def test_cardinality_is_exact_below_the_digit_bound():
+    with pytest.raises(SizeCapError) as exc:
+        build_ring("M60(Z2)")  # 2^3600, about 10^1084
+    assert exc.value.cardinality == 2 ** 3600
+    with pytest.raises(SizeCapError) as exc:
+        build_ring("M120(Z2)")  # 2^14400, about 10^4335
+    assert exc.value.cardinality is None
+    assert "above 10^4000" in str(exc.value)
+    # the zero ring stays exact however large the dimension
+    assert build_ring("M5(Z1)").size == 1
 
 
 def test_zero_ring_builds():
