@@ -7,7 +7,7 @@ JSON with --json; usage errors go to stderr with no report document.
 
 Caps resolve flag first, then environment, then default: --size-cap and
 RINGLAB_SIZE_CAP bound carrier construction, --axiom-cap and
-RINGLAB_AXIOM_CAP bound the cubic axiom sweep inside verify-theorem and
+RINGLAB_AXIOM_CAP bound the ring-axiom check inside verify-theorem and
 family.
 """
 

@@ -22,7 +22,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+from .rings import SizeCapError
 from .theorem import _mat2_mul, build_m2_scaffold
+
+# Largest truncation run_shift_demo accepts. The rank evidence takes one
+# GF(2) rank per truncation size from 2 to n, so its cost grows faster than
+# n^2; this bound keeps a request to seconds (4096 took about 15 s and 2048
+# about 3 s with Python 3.11 on a shared 2-vCPU x86_64 host).
+MAX_TRUNCATION = 4096
 
 
 @dataclass(frozen=True)
@@ -245,10 +252,14 @@ def run_shift_demo(truncation: int = 8) -> dict:
     is unit regular exactly when its kernel and cokernel are isomorphic; for
     s the truncated ranks pin those at 0 and 1. On a finite carrier this
     separation is impossible, which is why it lives here and not in the
-    exhaustive sweeps.
+    exhaustive sweeps. A truncation above MAX_TRUNCATION raises
+    SizeCapError before any work.
     """
     if truncation < 2:
         raise ValueError(f"truncation must be >= 2, got {truncation}")
+    if truncation > MAX_TRUNCATION:
+        raise SizeCapError(truncation, MAX_TRUNCATION,
+                           f"truncation {truncation} exceeds MAX_TRUNCATION {MAX_TRUNCATION}")
     ring = BandRing()
     s = BandOperator.right_shift()
     t = BandOperator.left_shift()

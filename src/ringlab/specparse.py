@@ -212,14 +212,38 @@ def build_ring(spec_or_text: Union[RingSpec, str],
 
     A carrier of 10 ** EXACT_CARDINALITY_DIGITS elements or more is refused
     from the float estimate alone, with cardinality None: its exact size
-    would cost more to compute and print than the refusal is worth.
+    would cost more to compute and print than the refusal is worth. A tree
+    whose matrix constructors would list more product terms than the cap is
+    refused as well.
     """
     node = (parse_ring_spec(spec_or_text)
             if isinstance(spec_or_text, str) else spec_or_text)
     if _log10_cardinality(node) >= EXACT_CARDINALITY_DIGITS:
         raise SizeCapError(None, size_cap)
-    require_cap(spec_cardinality(node), size_cap)
+    cardinality = spec_cardinality(node)
+    require_cap(cardinality, size_cap)
+    if _product_terms(node) > size_cap:
+        raise SizeCapError(cardinality, size_cap,
+                           "matrix dimensions need more product terms (k^3 for Mk, "
+                           f"k(k+1)(k+2)/6 for Tk) than cap {size_cap}")
     return _build(node, size_cap)
+
+
+def _product_terms(node: RingSpec) -> int:
+    """Product terms the matrix constructors of the tree list, summed.
+
+    A k-by-k ring lists k^3 of them (M) or k(k+1)(k+2)/6 (T). Over a base of
+    two or more elements its carrier, at least 2^(k(k+1)/2), is larger
+    still, so in practice the bound bites on matrices over the zero ring,
+    whose carrier has one element for every k.
+    """
+    if isinstance(node, ZmodSpec):
+        return 0
+    if isinstance(node, ProductSpec):
+        return _product_terms(node.left) + _product_terms(node.right)
+    k = node.k
+    own = k ** 3 if isinstance(node, MatrixSpec) else k * (k + 1) * (k + 2) // 6
+    return own + _product_terms(node.inner)
 
 
 def _build(node: RingSpec, size_cap: int) -> FiniteRing:

@@ -240,6 +240,33 @@ def test_astronomical_carrier_is_capped_in_bounded_time(capsys, schema, spec):
     assert "status: capped" in out and "None" not in out
 
 
+@pytest.mark.parametrize("letter", ["M", "T"])
+def test_huge_dimension_over_the_zero_ring_is_capped_in_bounded_time(schema, letter):
+    # the carrier has one element, so only the product-term bound refuses it
+    code, doc, elapsed = timed_run(["classify", "--ring", f"{letter}{'9' * 400}(Z1)"])
+    assert code == EXIT_CAP and elapsed < 1.0
+    jsonschema.validate(doc, schema)
+    assert doc["payload"]["cardinality"] == 1
+    assert "product terms" in doc["payload"]["message"]
+
+
+def test_large_dimension_over_the_zero_ring_classifies_in_bounded_time():
+    # a 9x9 determinant expansion would take 9! products per inverse
+    code, doc, elapsed = timed_run(["classify", "--ring", "M9(Z1)"])
+    assert code == EXIT_PASS and elapsed < 1.0
+    assert doc["payload"]["unit_regular_set"] == [0]
+
+
+def test_oversized_truncation_is_capped_in_bounded_time(capsys, schema):
+    code, doc, elapsed = timed_run(["shift-demo", "--truncation", "100000000"])
+    assert code == EXIT_CAP and elapsed < 1.0
+    jsonschema.validate(doc, schema)
+    assert doc["payload"]["cap"] == 4096
+    assert "MAX_TRUNCATION 4096" in doc["payload"]["message"]
+    assert main(["shift-demo", "--truncation", "4097"]) == EXIT_CAP
+    assert "status: capped" in capsys.readouterr().out
+
+
 def test_invalid_cap_env_is_a_usage_error(monkeypatch):
     monkeypatch.setenv("RINGLAB_SIZE_CAP", "banana")
     assert run_command(["classify", "--ring", "Z4"]) == (EXIT_USAGE, None)

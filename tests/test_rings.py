@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import product
 
 import pytest
 
@@ -11,8 +13,11 @@ from ringlab import (
     TriangularRing,
     ZmodRing,
     check_ring_axioms,
+    corner_ring,
+    idempotents,
 )
 from ringlab.report import CURATED_FAMILY
+from ringlab.rings import _additive_generators
 
 # Rings small enough for the cubic axiom loops; every member of the curated
 # family qualifies.
@@ -289,6 +294,111 @@ def test_corrupted_addition_is_caught(rings):
     broken = TableRing.from_ring(rings("Z4"), override_add={(1, 2): 1})
     report = check_ring_axioms(broken)
     assert not report.ok
+
+
+# The axiom check against every law written as a plain loop over the whole
+# carrier, so the generator reductions and the exact sweeps it falls back to
+# must both reproduce the first counterexample in lexicographic code order.
+
+
+def _oracle_report(ring):
+    elems = list(ring.elements())
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    zero, one = ring.zero, ring.one
+
+    def first(fails, arity):
+        # product() walks the tuples in lexicographic order
+        return next((t for t in product(elems, repeat=arity) if fails(*t)), None)
+
+    found = [
+        ("add_associative", first(
+            lambda a, b, c: add(add(a, b), c) != add(a, add(b, c)), 3)),
+        ("add_commutative", first(lambda a, b: add(a, b) != add(b, a), 2)),
+        ("add_identity", first(lambda a: add(zero, a) != a or add(a, zero) != a, 1)),
+        ("add_inverse", first(lambda a: add(a, neg(a)) != zero, 1)),
+        ("mul_associative", first(
+            lambda a, b, c: mul(mul(a, b), c) != mul(a, mul(b, c)), 3)),
+        ("mul_identity", first(lambda a: mul(one, a) != a or mul(a, one) != a, 1)),
+        ("left_distributive", first(
+            lambda a, b, c: mul(a, add(b, c)) != add(mul(a, b), mul(a, c)), 3)),
+        ("right_distributive", first(
+            lambda a, b, c: mul(add(a, b), c) != add(mul(a, c), mul(b, c)), 3)),
+    ]
+    return {
+        "ring": ring.spec_string,
+        "ok": all(cx is None for _, cx in found),
+        "checks": [{"name": name, "ok": cx is None,
+                    "counterexample": list(cx) if cx else None}
+                   for name, cx in found],
+    }
+
+
+@pytest.mark.parametrize("spec", AXIOM_FAMILY)
+def test_axiom_check_matches_oracle_on_family(rings, spec):
+    ring = rings(spec)
+    assert check_ring_axioms(ring).to_dict() == _oracle_report(ring)
+
+
+@pytest.mark.parametrize("spec", ["Z6", "Z12", "T2(Z2)", "M2(Z2)"])
+def test_axiom_check_matches_oracle_on_every_corner(rings, spec):
+    ring = rings(spec)
+    for idem in idempotents(ring):
+        corner = corner_ring(ring, idem)
+        assert check_ring_axioms(corner).to_dict() == _oracle_report(corner), idem
+
+
+def _corruptions(ring):
+    """Every TableRing with one add or mul entry changed to a wrong value."""
+    n = ring.size
+    built = refused = 0
+    for table in ("add", "mul"):
+        op = ring.add if table == "add" else ring.mul
+        for a in range(n):
+            for b in range(n):
+                for v in range(n):
+                    if v == op(a, b):
+                        continue
+                    try:
+                        broken = TableRing.from_ring(ring, **{f"override_{table}": {(a, b): v}})
+                    except ValueError as err:  # an add row left without a zero
+                        assert "no additive inverse" in str(err)
+                        refused += 1
+                        continue
+                    built += 1
+                    yield (table, a, b, v), broken
+    assert built + refused == 2 * n * n * (n - 1)
+
+
+@pytest.mark.parametrize("spec", ["Z4", "T2(Z2)"])
+def test_axiom_check_matches_oracle_on_every_single_entry_corruption(rings, spec):
+    ring = rings(spec)
+    gens = set(_additive_generators(ring))
+    # some corrupted cells have neither argument among the generators
+    assert any(a not in gens and b not in gens for a in ring.elements() for b in ring.elements())
+    failed = 0
+    for cell, broken in _corruptions(ring):
+        report = check_ring_axioms(broken).to_dict()
+        assert report == _oracle_report(broken), cell
+        failed += not report["ok"]
+    assert failed > 0
+
+
+@pytest.mark.parametrize("spec", AXIOM_FAMILY)
+def test_additive_generators_reach_the_carrier(rings, spec):
+    ring = rings(spec)
+    gens = _additive_generators(ring)
+    assert list(gens) == sorted(gens)
+    assert len(gens) <= 1 + math.log2(ring.size)
+    reached = set(gens)
+    frontier = list(gens)
+    while frontier:
+        y = frontier.pop()
+        for g in gens:
+            z = ring.add(y, g)
+            if z not in reached:
+                reached.add(z)
+                frontier.append(z)
+    assert reached == set(ring.elements())
 
 
 def test_table_ring_validates_shape_and_range():

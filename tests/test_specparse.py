@@ -168,6 +168,20 @@ def test_cardinality_is_exact_below_the_digit_bound():
     assert build_ring("M5(Z1)").size == 1
 
 
+def test_product_terms_bound_matrix_dimensions():
+    # M4: 4^3 = 64 terms, T4: 4*5*6/6 = 20 terms, summed over the tree
+    assert build_ring("M4(Z1)", size_cap=64).size == 1
+    assert build_ring("T4(Z1)", size_cap=20).size == 1
+    assert build_ring("M4(Z1)xM4(Z1)", size_cap=128).size == 1
+    for spec, cap in (("M4(Z1)", 63), ("T4(Z1)", 19), ("M4(Z1)xM4(Z1)", 127),
+                      ("M2(M4(Z1))", 71)):
+        with pytest.raises(SizeCapError) as exc:
+            build_ring(spec, size_cap=cap)
+        assert exc.value.cardinality == 1 and exc.value.cap == cap
+        assert f"product terms (k^3 for Mk, k(k+1)(k+2)/6 for Tk) than cap {cap}" \
+            in str(exc.value)
+
+
 def test_zero_ring_builds():
     ring = build_ring("Z1")
     assert ring.size == 1 and ring.one == ring.zero == 0
