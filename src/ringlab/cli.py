@@ -106,10 +106,17 @@ def _resolve_cap(flag_value: Optional[int], env_name: str, default: int) -> int:
     return value
 
 
+# Built on the first request and reused: parse_args keeps no state between
+# calls, and building the parser costs ten times what parsing one argv does.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def run_command(argv: list[str]) -> tuple[int, Optional[dict]]:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return (EXIT_PASS if exc.code == 0 else EXIT_USAGE), None
 

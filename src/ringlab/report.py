@@ -158,13 +158,12 @@ def verify_payload(ring: FiniteRing, idempotent_code: Optional[int] = None,
 
 def witness_payload(ring: FiniteRing, e: int, a: int, b: int, u: int,
                     v: Optional[int] = None) -> tuple[dict, bool]:
+    # every code first, so a bad one is refused before any arithmetic
+    for code in (e, a, b, u, v):
+        if code is not None:
+            ring.check_element(code)
     idem = as_idempotent(ring, e)
-    ring.check_element(a)
-    ring.check_element(b)
-    ring.check_element(u)
-    if v is not None:
-        ring.check_element(v)
-    else:
+    if v is None:
         v = ring.inverse_of(u)
         if v is None:
             raise PreconditionError("u_not_invertible", f"u={u} is not a unit")

@@ -3,7 +3,9 @@
 Carriers built here are dense: codes run 0..size-1 and code 0 is always the
 zero element. Constructions compose freely: integers mod n, full and
 upper-triangular matrix rings over any base, direct products, and raw Cayley
-tables. Small carriers precompute their tables once; larger ones evaluate
+tables. A carrier of at most _TABLE_THRESHOLD elements fills its Cayley
+tables on its first arithmetic call, built structurally from the tables of
+its parts and stored as compact array rows; a larger one evaluates
 structurally per call. Arithmetic is fixed at construction; derived sweeps
 (units, idempotents, corners, regularity witnesses) are memoised lazily on
 the instance and freed with it. Every derived sweep is deterministic.
@@ -12,8 +14,10 @@ the instance and freed with it. Every derived sweep is deterministic.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import Any, Callable, Iterable, Optional
 
 DEFAULT_SIZE_CAP = 2 ** 20
@@ -23,9 +27,10 @@ DEFAULT_AXIOM_CAP = 2 ** 8
 # larger carriers are refused whatever the cap, with cardinality None.
 EXACT_CARDINALITY_DIGITS = 4000
 
-# Cayley tables are built eagerly up to this carrier size; the quadratic
-# build cost must stay negligible next to the sweeps the tables accelerate.
-_TABLE_THRESHOLD = 128
+# Carriers up to this size fill their Cayley tables on first use. Rows are
+# array('B') up to 256 elements and array('H') above, so one table takes at
+# most 1024 * 1024 * 2 bytes = 2 MiB; a ring holds an add and a mul table.
+_TABLE_THRESHOLD = 1024
 
 
 class SizeCapError(Exception):
@@ -47,11 +52,42 @@ def require_cap(cardinality: int, cap: int) -> None:
         raise SizeCapError(cardinality, cap)
 
 
+def _row_code(size: int) -> str:
+    """array typecode that holds every code of a carrier of this size."""
+    return "B" if size <= 256 else "H"
+
+
+# Structural table builds hold a row as one int, int.from_bytes of the row
+# array's bytes in the machine's order, so each code sits in its own
+# fixed-width field. Adding two such ints adds the rows entry by entry, in
+# one big-integer addition, as long as every entry of the sum stays a code
+# of the carrier: no carry crosses a field.
+
+
+def _row_int(codes: Iterable[int], size: int) -> int:
+    return int.from_bytes(array(_row_code(size), codes).tobytes(), sys.byteorder)
+
+
+def _summed_rows(parts: list[list[int]], size: int) -> Iterable[bytes]:
+    """Rows of a table with row a = parts[0][a_0] + ... + parts[-1][a_last].
+
+    The a_g are the mixed-radix digits of a, first most significant, with
+    len(parts[g]) as the radix of a_g. Each row comes as the bytes of its
+    array, which array() reads back as the row.
+    """
+    nbytes = size * array(_row_code(size)).itemsize
+    return (sum(ints).to_bytes(nbytes, sys.byteorder) for ints in product(*parts))
+
+
 class FiniteRing:
     """Common interface for every ring carrier in this package.
 
     Subclasses supply _raw_add/_raw_neg/_raw_mul on codes; add/neg/mul route
-    through precomputed tables when available. The generic unit search is a
+    through the Cayley tables once they are filled. A carrier within
+    _TABLE_THRESHOLD fills all three on its first arithmetic call from
+    _add_rows/_mul_rows/_neg_row; their pairwise default through _raw_* is
+    the oracle that the structural overrides must equal entry by entry. The
+    generic unit search is a
     two-sided linear scan in ascending code order; structured subclasses
     override inverse_of with construction-aware fast paths that must agree
     with the scan.
@@ -65,9 +101,9 @@ class FiniteRing:
         self.zero = 0
         self.one = one
         self.is_commutative = commutative
-        self._add_table: Optional[list[list[int]]] = None
-        self._mul_table: Optional[list[list[int]]] = None
-        self._neg_table: Optional[list[int]] = None
+        self._add_table: Optional[list] = None
+        self._mul_table: Optional[list] = None
+        self._neg_table: Optional[array] = None
         self._memo: dict = {}
 
     def cached(self, key, compute: Callable[[], Any]) -> Any:
@@ -99,15 +135,15 @@ class FiniteRing:
 
     def add(self, a: int, b: int) -> int:
         t = self._add_table
-        return t[a][b] if t is not None else self._raw_add(a, b)
+        return t[a][b] if t is not None else self._untabled_add(a, b)
 
     def neg(self, a: int) -> int:
         t = self._neg_table
-        return t[a] if t is not None else self._raw_neg(a)
+        return t[a] if t is not None else self._untabled_neg(a)
 
     def mul(self, a: int, b: int) -> int:
         t = self._mul_table
-        return t[a][b] if t is not None else self._raw_mul(a, b)
+        return t[a][b] if t is not None else self._untabled_mul(a, b)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -124,13 +160,41 @@ class FiniteRing:
     def _raw_mul(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    def _init_tables(self) -> None:
+    # The slow paths read the new table directly rather than re-dispatching
+    # through add/neg/mul, so each call stays one operation.
+
+    def _untabled_add(self, a: int, b: int) -> int:
+        return self._add_table[a][b] if self._fill_tables() else self._raw_add(a, b)
+
+    def _untabled_neg(self, a: int) -> int:
+        return self._neg_table[a] if self._fill_tables() else self._raw_neg(a)
+
+    def _untabled_mul(self, a: int, b: int) -> int:
+        return self._mul_table[a][b] if self._fill_tables() else self._raw_mul(a, b)
+
+    def _fill_tables(self) -> bool:
+        """Fill all three tables; False, filling nothing, above the threshold."""
         if self.size > _TABLE_THRESHOLD:
-            return
+            return False
+        code = _row_code(self.size)
+        self._neg_table = array(code, self._neg_row())
+        self._mul_table = [array(code, row) for row in self._mul_rows()]
+        self._add_table = [array(code, row) for row in self._add_rows()]
+        return True
+
+    def _add_rows(self) -> Iterable:
+        """Rows of the add table in code order, each in a form array() takes
+        as the row: a sequence of codes, or the bytes of the row's array.
+        This default goes pair by pair through _raw_add."""
         n = self.size
-        self._add_table = [[self._raw_add(a, b) for b in range(n)] for a in range(n)]
-        self._mul_table = [[self._raw_mul(a, b) for b in range(n)] for a in range(n)]
-        self._neg_table = [self._raw_neg(a) for a in range(n)]
+        return ([self._raw_add(a, b) for b in range(n)] for a in range(n))
+
+    def _mul_rows(self) -> Iterable:
+        n = self.size
+        return ([self._raw_mul(a, b) for b in range(n)] for a in range(n))
+
+    def _neg_row(self) -> Iterable:
+        return [self._raw_neg(a) for a in range(self.size)]
 
     # units -------------------------------------------------------------------
 
@@ -196,7 +260,19 @@ class ZmodRing(FiniteRing):
         require_cap(n, size_cap)
         self.n = n
         super().__init__(size=n, one=1 % n, commutative=True)
-        self._init_tables()
+
+    def _add_rows(self) -> Iterable[array]:
+        n = self.n
+        codes = array(_row_code(n), range(n)) * 2
+        return (codes[a:a + n] for a in range(n))  # a + b rotates 0..n-1
+
+    def _mul_rows(self) -> Iterable[list[int]]:
+        n = self.n
+        return ([a * b % n for b in range(n)] for a in range(n))
+
+    def _neg_row(self) -> list[int]:
+        n = self.n
+        return [-a % n for a in range(n)]
 
     def _raw_add(self, a: int, b: int) -> int:
         return (a + b) % self.n
@@ -272,7 +348,6 @@ class _SquareRing(FiniteRing):
         one = self._pack(base.one if i == j else base.zero for i, j in slots)
         commutative = base.is_commutative if k == 1 else cardinality == 1
         super().__init__(size=cardinality, one=one, commutative=commutative)
-        self._init_tables()
 
     def _digits(self, code: int) -> list[int]:
         B = self.base.size
@@ -318,6 +393,80 @@ class _SquareRing(FiniteRing):
                 acc = add(acc, mul(da[p], db[q]))
             out.append(acc)
         return self._pack(out)
+
+    # Cayley tables from the base operations. Every entry is the value the
+    # _raw_* method computes, from the same base operations in the same
+    # order; no entry is derived from others through a ring law.
+
+    def _slot_rows(self, runs, entry: Callable[[tuple, tuple], int]) -> Iterable[bytes]:
+        """Rows of a table computed slot by slot, as _summed_rows gives them.
+
+        Slot p of entry (a, b) is entry(xs, ys): xs the digits of a at
+        positions ps, ys the digits of b at positions qs. runs splits the
+        slots of a into runs of consecutive slots, each given as its length
+        w and the (p, ps, qs) of the slots it determines, ps counted within
+        the run. For each run and each of its B**w digit patterns, one int
+        row holds that run's share of every entry; a table row adds one
+        share per run.
+        """
+        B, n, m = self.base.size, self.size, len(self._slots)
+        # digit p of every code b, then b's digits at qs packed, per qs
+        digits = [[d for d in range(B) for _ in range(B ** (m - 1 - p))] * B ** p
+                  for p in range(m)]
+        columns: dict[tuple[int, ...], list[int]] = {}
+        slot_rows: dict[tuple[int, tuple[int, ...]], int] = {}  # (p, xs) -> int row
+        parts = []
+        for width, slots in runs:
+            shares = []
+            for x in product(range(B), repeat=width):
+                share = 0
+                for p, ps, qs in slots:
+                    xs = tuple(x[l] for l in ps)
+                    if (p, xs) not in slot_rows:
+                        if qs not in columns:
+                            columns[qs] = list(map(self._pack, zip(*(digits[q] for q in qs))))
+                        weight = B ** (m - 1 - p)
+                        values = [entry(xs, ys) * weight
+                                  for ys in product(range(B), repeat=len(qs))]
+                        slot_rows[p, xs] = _row_int(map(values.__getitem__, columns[qs]), n)
+                    share += slot_rows[p, xs]
+                shares.append(share)
+            parts.append(shares)
+        return _summed_rows(parts, n)
+
+    def _add_rows(self) -> Iterable[bytes]:
+        add = self.base.add
+        return self._slot_rows([(1, [(p, (0,), (p,))]) for p in range(len(self._slots))],
+                               lambda xs, ys: add(xs[0], ys[0]))
+
+    def _neg_row(self) -> bytes:
+        # one row, over b: a run of no slots of a
+        neg = self.base.neg
+        slots = [(p, (), (p,)) for p in range(len(self._slots))]
+        return next(self._slot_rows([(0, slots)], lambda xs, ys: neg(ys[0])))
+
+    def _mul_rows(self) -> Iterable[bytes]:
+        """Rows of the mul table, one run per matrix row.
+
+        The row-i slots of a*b depend only on the row-i slots of a, so each
+        run is one matrix row, and its shares are the row-vector products
+        r*b for every row r of base digits.
+        """
+        add, mul, zero = self.base.add, self.base.mul, self.base.zero
+
+        def dot(xs, ys):
+            acc = zero
+            for x, y in zip(xs, ys):
+                acc = add(acc, mul(x, y))
+            return acc
+
+        runs = []
+        for i in range(self.k):
+            run = [p for p, (row, _) in enumerate(self._slots) if row == i]
+            runs.append((len(run), [(p, tuple(l - run[0] for l, _ in self._mul_terms[p]),
+                                      tuple(q for _, q in self._mul_terms[p]))
+                                     for p in run]))
+        return self._slot_rows(runs, dot)
 
     def element_repr(self, x: int) -> str:
         entry = self.base.element_repr
@@ -439,7 +588,6 @@ class ProductRing(FiniteRing):
         one = self.encode((r1.one, r2.one))
         super().__init__(size=cardinality, one=one,
                          commutative=r1.is_commutative and r2.is_commutative)
-        self._init_tables()
 
     def decode(self, code: int):
         q, r = divmod(code, len(self._elems2))
@@ -462,6 +610,32 @@ class ProductRing(FiniteRing):
         a1, a2 = self.decode(a)
         b1, b2 = self.decode(b)
         return self.encode((self.r1.mul(a1, b1), self.r2.mul(a2, b2)))
+
+    def _pair_rows(self, rows1: list[list[int]], rows2: list[list[int]]) -> Iterable[bytes]:
+        """Table rows from factor rows on positions, as _summed_rows gives
+        them: entry (b1, b2) of row (a1, a2) is rows1[a1][b1] * n2 +
+        rows2[a2][b2]."""
+        n, n1, n2 = self.size, len(self._elems1), len(self._elems2)
+        highs = [_row_int([h * n2 for h in row for _ in range(n2)], n) for row in rows1]
+        lows = [_row_int(row * n1, n) for row in rows2]
+        return _summed_rows([highs, lows], n)
+
+    def _op_rows(self, op1: Callable[[int, int], int],
+                 op2: Callable[[int, int], int]) -> Iterable[bytes]:
+        e1, e2, pos1, pos2 = self._elems1, self._elems2, self._pos1, self._pos2
+        return self._pair_rows([[pos1[op1(x, y)] for y in e1] for x in e1],
+                               [[pos2[op2(x, y)] for y in e2] for x in e2])
+
+    def _add_rows(self) -> Iterable[bytes]:
+        return self._op_rows(self.r1.add, self.r2.add)
+
+    def _mul_rows(self) -> Iterable[bytes]:
+        return self._op_rows(self.r1.mul, self.r2.mul)
+
+    def _neg_row(self) -> bytes:
+        row1 = [self._pos1[self.r1.neg(x)] for x in self._elems1]
+        row2 = [self._pos2[self.r2.neg(x)] for x in self._elems2]
+        return next(self._pair_rows([row1], [row2]))
 
     def inverse_of(self, x: int) -> Optional[int]:
         x1, x2 = self.decode(x)

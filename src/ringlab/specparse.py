@@ -11,7 +11,8 @@ associating to the left. Cardinality is computed on the tree before any
 carrier is allocated, so a description that blows past the size cap is
 rejected without building anything. A description may nest at most
 MAX_SPEC_DEPTH brackets, and its tree may be at most MAX_SPEC_DEPTH levels
-high, so every recursion over a parsed tree stays shallow.
+high, so every recursion over a parsed tree stays shallow. A number may
+have at most MAX_NUMBER_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from .rings import (
 )
 
 MAX_SPEC_DEPTH = 100
+
+# A number in a description may have at most this many digits, the limit of
+# Python's default int-from-string conversion; a longer one is unusable.
+MAX_NUMBER_DIGITS = 4300
 
 
 class RingSpecError(ValueError):
@@ -142,6 +147,8 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise RingSpecError("missing number", start, expected="a digit")
+        if self.pos - start > MAX_NUMBER_DIGITS:
+            raise RingSpecError(f"number longer than {MAX_NUMBER_DIGITS} digits", start)
         value = int(self.text[start:self.pos])
         if value == 0:
             raise RingSpecError("size parameter must be positive", start)

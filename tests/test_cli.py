@@ -188,6 +188,41 @@ def test_usage_errors():
     assert run_command(wit + ["--a", "17"]) == (EXIT_USAGE, None)
 
 
+def test_one_parser_parses_each_argv_afresh():
+    parser = cli_mod.build_parser()
+    with_v = ["witness", "--ring", "Z6", "--e", "3", "--a", "3", "--b", "4",
+              "--u", "1", "--v", "3"]
+    without_v = with_v[:-2]
+    first = parser.parse_args(without_v)
+    assert first.v is None
+    assert parser.parse_args(with_v).v == 3
+    for argv in (["classify", "--ring", "Z4", "--json"],
+                 ["verify-theorem", "--ring", "Z6", "--idempotent", "3"]):
+        parser.parse_args(argv)
+    with pytest.raises(SystemExit):
+        parser.parse_args(["classify"])
+    assert parser.parse_args(without_v) == first
+    assert vars(parser.parse_args(["classify", "--ring", "Z4"])) == {
+        "command": "classify", "json": False, "size_cap": None, "axiom_cap": None,
+        "ring": "Z4"}
+
+
+def test_run_command_reuses_one_parser(monkeypatch):
+    built = []
+    real = cli_mod.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli_mod, "_parser", None)
+    monkeypatch.setattr(cli_mod, "build_parser", counting)
+    for _ in range(3):
+        assert run_command(["classify", "--ring", "Z4"])[0] == EXIT_PASS
+    assert run_command(["classify"])[0] == EXIT_USAGE
+    assert len(built) == 1
+
+
 def test_help_is_not_an_error():
     assert run_command(["--help"]) == (EXIT_PASS, None)
     assert run_command(["classify", "--help"]) == (EXIT_PASS, None)
@@ -226,6 +261,16 @@ def test_deep_description_is_a_usage_error_in_bounded_time(spec):
     code, doc, elapsed = timed_run(["classify", "--ring", spec])
     assert (code, doc) == (EXIT_USAGE, None)
     assert elapsed < 1.0
+
+
+def test_overlong_number_is_a_description_error_in_bounded_time(capsys):
+    start = time.perf_counter()
+    assert main(["classify", "--ring", "Z" + "9" * 5000]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad ring description" in captured.err and "at offset 1" in captured.err
+    assert "set_int_max_str_digits" not in captured.err
 
 
 @pytest.mark.parametrize("spec", ["M40(M40(Z40))", "M99(M99(Z99))"])

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import ringlab.rings as rings_module
 from ringlab import (
     DEFAULT_SIZE_CAP,
     MatrixRing,
@@ -12,12 +13,14 @@ from ringlab import (
     TableRing,
     TriangularRing,
     ZmodRing,
+    build_ring,
     check_ring_axioms,
     corner_ring,
     idempotents,
+    witness_payload,
 )
 from ringlab.report import CURATED_FAMILY
-from ringlab.rings import _additive_generators
+from ringlab.rings import FiniteRing, _additive_generators
 
 # Rings small enough for the cubic axiom loops; every member of the curated
 # family qualifies.
@@ -156,6 +159,7 @@ def test_slot_codec_matches_oracle_on_every_pair(rings, spec):
     n = ring.size
     _check_against_oracle(ring, [(a, b) for a in range(n) for b in range(n)])
     # tabled carriers: the tables must be the raw operations
+    ring.add(0, 0)  # the first arithmetic call fills the tables
     assert ring._mul_table is not None
     for a in range(n):
         assert ring._neg_table[a] == ring._raw_neg(a)
@@ -202,11 +206,16 @@ def test_inverse_fast_paths_agree_with_scan(rings, spec):
         assert ring.inverse_of(x) == ring._scan_inverse(x)
 
 
-def test_untabled_carrier_matches_tabled_snapshot(rings):
-    big = rings("M2(Z4)")  # 256 elements, beyond the table threshold
+def test_untabled_carrier_matches_tabled_snapshot(rings, monkeypatch):
+    big = rings("M2(Z6)")  # 1296 elements, beyond the table threshold
+    big.add(0, 0)
     assert big._mul_table is None
-    snap = TableRing.from_ring(big)
-    probes = list(range(0, 256, 23)) + [255]
+    with monkeypatch.context() as patch:
+        patch.setattr(rings_module, "_TABLE_THRESHOLD", big.size)
+        snap = build_ring("M2(Z6)")
+        snap.add(0, 0)
+    assert snap._mul_table is not None
+    probes = list(range(0, 1296, 97)) + [1295]
     for a in probes:
         for b in probes:
             assert big.add(a, b) == snap.add(a, b)
@@ -240,6 +249,86 @@ def test_units_cached_and_ascending(rings):
     table = ring.units()
     assert table is ring.units()
     assert list(table) == sorted(table)
+
+
+# Cayley tables ------------------------------------------------------------------
+#
+# The structural builds against FiniteRing's pairwise build through _raw_*,
+# entry by entry, on carriers up to the threshold: the family, 'B' and 'H'
+# rows, noncommutative and nested bases, the 1024-element edge, and bases
+# whose tables break the ring laws, where any reasoning from those laws
+# would go wrong.
+
+TABLED = CURATED_FAMILY + ("M2(Z4)", "M3(Z2)", "T2(Z8)", "M2(Z2xZ2)", "T2(T2(Z2))",
+                           "Z2xT2(T2(Z2))")
+
+
+def _assert_tables_match_pairwise_build(ring):
+    assert ring.size <= rings_module._TABLE_THRESHOLD
+    ring.add(ring.zero, ring.zero)  # the first arithmetic call fills the tables
+    assert list(ring._neg_table) == FiniteRing._neg_row(ring)
+    for table, rows in ((ring._add_table, FiniteRing._add_rows(ring)),
+                        (ring._mul_table, FiniteRing._mul_rows(ring))):
+        assert len(table) == ring.size
+        for a, row in enumerate(rows):
+            assert list(table[a]) == row, (ring.spec_string, a)
+
+
+@pytest.mark.parametrize("spec", TABLED)
+def test_tables_match_pairwise_build(spec):
+    _assert_tables_match_pairwise_build(build_ring(spec))
+
+
+def _law_breaking_z4():
+    z4 = ZmodRing(4)
+    return (TableRing.from_ring(z4, override_mul={(3, 3): 0, (1, 2): 3}, label="mulZ4"),
+            TableRing.from_ring(z4, override_add={(1, 2): 1}, label="addZ4"))
+
+
+@pytest.mark.parametrize("build", [
+    lambda r: MatrixRing(2, r), lambda r: TriangularRing(2, r), lambda r: MatrixRing(1, r),
+    lambda r: ProductRing(r, r), lambda r: ProductRing(TriangularRing(2, r), ZmodRing(3)),
+], ids=["M2", "T2", "M1", "RxR", "T2xZ3"])
+def test_tables_match_pairwise_build_over_law_breaking_bases(build):
+    for base in _law_breaking_z4():
+        assert not check_ring_axioms(base).ok
+        _assert_tables_match_pairwise_build(build(base))
+
+
+def test_tables_are_compact_rows():
+    for spec, code in (("Z2", "B"), ("M2(Z4)", "B"), ("T2(Z2)xZ4xZ4xZ4", "H"),
+                       ("Z2xT2(T2(Z2))", "H")):
+        ring = build_ring(spec)
+        ring.mul(0, 0)
+        for table in (ring._add_table, ring._mul_table):
+            assert {row.typecode for row in table} == {code}
+        assert ring._neg_table.typecode == code
+
+
+def test_tables_fill_on_first_arithmetic_call():
+    for first_call in (lambda r: r.add(3, 5), lambda r: r.neg(3), lambda r: r.mul(3, 5)):
+        ring = build_ring("M2(Z4)")
+        assert (ring._add_table, ring._mul_table, ring._neg_table) == (None, None, None)
+        first_call(ring)
+        assert all(t is not None for t in (ring._add_table, ring._mul_table,
+                                           ring._neg_table))
+
+
+@pytest.mark.parametrize("bad", ["e", "a", "b", "u", "v"])
+def test_witness_refused_for_a_bad_code_fills_nothing(bad):
+    ring = build_ring("M2(Z4)")
+    codes = dict(e=ring.one, a=ring.one, b=0, u=ring.one, v=ring.one)
+    codes[bad] = ring.size
+    with pytest.raises(ValueError, match="not an element code"):
+        witness_payload(ring, **codes)
+    assert (ring._add_table, ring._mul_table, ring._neg_table) == (None, None, None)
+
+
+def test_carrier_above_threshold_stays_untabled(rings):
+    ring = rings("M2(Z6)")
+    assert ring.size == 1296 > rings_module._TABLE_THRESHOLD
+    assert ring.mul(ring.one, 5) == 5 and ring.add(0, 7) == 7 and ring.neg(0) == 0
+    assert (ring._add_table, ring._mul_table, ring._neg_table) == (None, None, None)
 
 
 # caps -------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from ringlab import (
     spec_cardinality,
     spec_to_text,
 )
-from ringlab.specparse import MAX_SPEC_DEPTH
+from ringlab.specparse import MAX_NUMBER_DIGITS, MAX_SPEC_DEPTH
 
 
 def test_frozen_parses():
@@ -154,6 +154,18 @@ def test_nesting_is_bounded_at_max_spec_depth():
                  "M1(" * (d - 2) + "Z1xZ1xZ1" + ")" * (d - 2)):
         with pytest.raises(RingSpecError, match="nested deeper"):
             parse_ring_spec(text)
+
+
+def test_number_digits_are_bounded():
+    longest = "9" * MAX_NUMBER_DIGITS
+    assert parse_ring_spec("Z" + longest) == ZmodSpec(int(longest))
+    too_long = "9" * (MAX_NUMBER_DIGITS + 1)
+    for text, offset in (("Z" + too_long, 1), ("Z2 x M" + too_long + "(Z2)", 6)):
+        with pytest.raises(RingSpecError) as exc:
+            parse_ring_spec(text)
+        assert exc.value.offset == offset
+        assert str(exc.value) == (f"number longer than {MAX_NUMBER_DIGITS} digits "
+                                  f"at offset {offset}")
 
 
 def test_cardinality_is_exact_below_the_digit_bound():
