@@ -4,10 +4,11 @@ Carriers built here are dense: codes run 0..size-1 and code 0 is always the
 zero element. Constructions compose freely: integers mod n, full and
 upper-triangular matrix rings over any base, direct products, and raw Cayley
 tables. A carrier of at most _TABLE_THRESHOLD elements fills its Cayley
-tables on its first arithmetic call, built structurally from the tables of
-its parts and stored as compact array rows; a larger one evaluates
-structurally per call. Arithmetic is fixed at construction; derived sweeps
-(units, idempotents, corners, regularity witnesses) are memoised lazily on
+tables once its untabled operations have cost about what the fill costs,
+built structurally from the tables of its parts and stored as compact array
+rows above _LIST_ROWS elements; a larger one evaluates structurally per
+call. Arithmetic is fixed at construction; derived sweeps (units,
+idempotents, corners, regularity witnesses) are memoised lazily on
 the instance and freed with it. Every derived sweep is deterministic.
 """
 
@@ -17,8 +18,9 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 DEFAULT_SIZE_CAP = 2 ** 20
 DEFAULT_AXIOM_CAP = 2 ** 8
@@ -27,10 +29,15 @@ DEFAULT_AXIOM_CAP = 2 ** 8
 # larger carriers are refused whatever the cap, with cardinality None.
 EXACT_CARDINALITY_DIGITS = 4000
 
-# Carriers up to this size fill their Cayley tables on first use. Rows are
-# array('B') up to 256 elements and array('H') above, so one table takes at
-# most 1024 * 1024 * 2 bytes = 2 MiB; a ring holds an add and a mul table.
+# Carriers up to this size fill their Cayley tables when they have paid for
+# them (FiniteRing._fill_countdown). Rows are array('B') up to 256 elements
+# and array('H') above, so one table takes at most 1024 * 1024 * 2 bytes =
+# 2 MiB; a ring holds an add and a mul table.
 _TABLE_THRESHOLD = 1024
+
+# Rows of carriers up to this size stay lists, which Python indexes faster
+# than arrays; such a table takes at most 128 * 128 * 8 bytes = 128 KiB.
+_LIST_ROWS = 128
 
 
 class SizeCapError(Exception):
@@ -83,18 +90,27 @@ class FiniteRing:
     """Common interface for every ring carrier in this package.
 
     Subclasses supply _raw_add/_raw_neg/_raw_mul on codes; add/neg/mul route
-    through the Cayley tables once they are filled. A carrier within
-    _TABLE_THRESHOLD fills all three on its first arithmetic call from
-    _add_rows/_mul_rows/_neg_row; their pairwise default through _raw_* is
-    the oracle that the structural overrides must equal entry by entry. The
-    generic unit search is a
-    two-sided linear scan in ascending code order; structured subclasses
+    through the Cayley tables once they are filled, and through _raw_* until
+    then. A carrier within _TABLE_THRESHOLD fills all three tables from
+    _add_rows/_mul_rows/_neg_row after _fill_price * size**2 untabled ops:
+    by then those ops have cost about what the fill costs, so a short
+    request never pays for a fill, and a long one pays at most about twice
+    what the better of filling at once or never would have. The pairwise
+    default of the row builders, through _raw_*, is the oracle that the
+    structural overrides must equal entry by entry. The generic unit search
+    is a two-sided linear scan in ascending code order; structured subclasses
     override inverse_of with construction-aware fast paths that must agree
     with the scan.
 
     Derived sweeps live in one per-instance memo, filled through cached(),
     so they are freed with the ring.
     """
+
+    # What filling the tables costs per table entry, in units of what one
+    # table read saves over one untabled op. The pairwise build makes two
+    # _raw_* calls per entry; the structural builds set their own, measured
+    # and rounded to a power of two.
+    _fill_price = 2.0
 
     def __init__(self, size: int, one: int, commutative: bool) -> None:
         self.size = size
@@ -103,7 +119,11 @@ class FiniteRing:
         self.is_commutative = commutative
         self._add_table: Optional[list] = None
         self._mul_table: Optional[list] = None
-        self._neg_table: Optional[array] = None
+        self._neg_table: Optional[Sequence[int]] = None
+        # untabled ops left before the tables fill; 0, counting nothing,
+        # above the threshold and after the fill
+        self._fill_countdown = (max(1, int(self._fill_price * size * size))
+                                if size <= _TABLE_THRESHOLD else 0)
         self._memo: dict = {}
 
     def cached(self, key, compute: Callable[[], Any]) -> Any:
@@ -133,17 +153,34 @@ class FiniteRing:
 
     # arithmetic ------------------------------------------------------------
 
+    # The hot path reads the tables. Until they are filled, an op of a
+    # carrier within the threshold counts down to the fill; the op that
+    # fills reads the new table directly rather than re-dispatching through
+    # add/neg/mul, so each call stays one operation.
+
     def add(self, a: int, b: int) -> int:
         t = self._add_table
-        return t[a][b] if t is not None else self._untabled_add(a, b)
+        if t is not None:
+            return t[a][b]
+        if self._fill_countdown and self._count_down():
+            return self._add_table[a][b]
+        return self._raw_add(a, b)
 
     def neg(self, a: int) -> int:
         t = self._neg_table
-        return t[a] if t is not None else self._untabled_neg(a)
+        if t is not None:
+            return t[a]
+        if self._fill_countdown and self._count_down():
+            return self._neg_table[a]
+        return self._raw_neg(a)
 
     def mul(self, a: int, b: int) -> int:
         t = self._mul_table
-        return t[a][b] if t is not None else self._untabled_mul(a, b)
+        if t is not None:
+            return t[a][b]
+        if self._fill_countdown and self._count_down():
+            return self._mul_table[a][b]
+        return self._raw_mul(a, b)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -160,31 +197,24 @@ class FiniteRing:
     def _raw_mul(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    # The slow paths read the new table directly rather than re-dispatching
-    # through add/neg/mul, so each call stays one operation.
-
-    def _untabled_add(self, a: int, b: int) -> int:
-        return self._add_table[a][b] if self._fill_tables() else self._raw_add(a, b)
-
-    def _untabled_neg(self, a: int) -> int:
-        return self._neg_table[a] if self._fill_tables() else self._raw_neg(a)
-
-    def _untabled_mul(self, a: int, b: int) -> int:
-        return self._mul_table[a][b] if self._fill_tables() else self._raw_mul(a, b)
-
-    def _fill_tables(self) -> bool:
-        """Fill all three tables; False, filling nothing, above the threshold."""
-        if self.size > _TABLE_THRESHOLD:
+    def _count_down(self) -> bool:
+        """Count one untabled op; True when it fills the tables."""
+        self._fill_countdown -= 1
+        if self._fill_countdown:
             return False
-        code = _row_code(self.size)
-        self._neg_table = array(code, self._neg_row())
-        self._mul_table = [array(code, row) for row in self._mul_rows()]
-        self._add_table = [array(code, row) for row in self._add_rows()]
+        self._fill_tables()
         return True
 
+    def _fill_tables(self) -> None:
+        """Fill all three tables now, whatever the countdown."""
+        row = list if self.size <= _LIST_ROWS else partial(array, _row_code(self.size))
+        self._neg_table = row(self._neg_row())
+        self._mul_table = list(map(row, self._mul_rows()))
+        self._add_table = list(map(row, self._add_rows()))
+
     def _add_rows(self) -> Iterable:
-        """Rows of the add table in code order, each in a form array() takes
-        as the row: a sequence of codes, or the bytes of the row's array.
+        """Rows of the add table in code order, each a sequence of codes or
+        the bytes of the row's array, one byte per code up to 256 elements.
         This default goes pair by pair through _raw_add."""
         n = self.size
         return ([self._raw_add(a, b) for b in range(n)] for a in range(n))
@@ -252,7 +282,15 @@ class FiniteRing:
 
 
 class ZmodRing(FiniteRing):
-    """Integers modulo n; codes are the residues 0..n-1."""
+    """Integers modulo n; codes are the residues 0..n-1.
+
+    A residue op costs only about two table reads, so a table saves little
+    per op, and counting down to a fill would cost more than it saves. A
+    residue ring small enough for list rows fills its tables on its first
+    op; a larger one never does.
+    """
+
+    _fill_price = 0.0
 
     def __init__(self, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
         if n < 1:
@@ -260,6 +298,8 @@ class ZmodRing(FiniteRing):
         require_cap(n, size_cap)
         self.n = n
         super().__init__(size=n, one=1 % n, commutative=True)
+        if n > _LIST_ROWS:
+            self._fill_countdown = 0
 
     def _add_rows(self) -> Iterable[array]:
         n = self.n
@@ -348,6 +388,12 @@ class _SquareRing(FiniteRing):
         one = self._pack(base.one if i == j else base.zero for i, j in slots)
         commutative = base.is_commutative if k == 1 else cardinality == 1
         super().__init__(size=cardinality, one=one, commutative=commutative)
+
+    @property
+    def _fill_price(self) -> float:
+        # k = 1 evaluates every table entry through the base; k > 1 only
+        # row-vector products, a vanishing share of the entries
+        return 0.5 if self.k == 1 else 1 / 64
 
     def _digits(self, code: int) -> list[int]:
         B = self.base.size
@@ -576,6 +622,8 @@ class ProductRing(FiniteRing):
     factors this is exactly code1 * |r2| + code2.
     """
 
+    _fill_price = 1 / 8
+
     def __init__(self, r1: FiniteRing, r2: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> None:
         cardinality = r1.size * r2.size
         require_cap(cardinality, size_cap)
@@ -616,9 +664,18 @@ class ProductRing(FiniteRing):
         them: entry (b1, b2) of row (a1, a2) is rows1[a1][b1] * n2 +
         rows2[a2][b2]."""
         n, n1, n2 = self.size, len(self._elems1), len(self._elems2)
-        highs = [_row_int([h * n2 for h in row for _ in range(n2)], n) for row in rows1]
+        code = _row_code(n)
+
+        def high(row: list[int]) -> int:
+            # row[b1] * n2 at every (b1, b2): one strided copy per b2
+            scaled = array(code, [h * n2 for h in row])
+            spread = array(code, [0]) * n
+            for b2 in range(n2):
+                spread[b2::n2] = scaled
+            return _row_int(spread, n)
+
         lows = [_row_int(row * n1, n) for row in rows2]
-        return _summed_rows([highs, lows], n)
+        return _summed_rows([list(map(high, rows1)), lows], n)
 
     def _op_rows(self, op1: Callable[[int, int], int],
                  op2: Callable[[int, int], int]) -> Iterable[bytes]:

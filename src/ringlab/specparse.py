@@ -12,12 +12,13 @@ carrier is allocated, so a description that blows past the size cap is
 rejected without building anything. A description may nest at most
 MAX_SPEC_DEPTH brackets, and its tree may be at most MAX_SPEC_DEPTH levels
 high, so every recursion over a parsed tree stays shallow. A number may
-have at most MAX_NUMBER_DIGITS digits.
+have at most max_number_digits() digits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -36,8 +37,16 @@ from .rings import (
 MAX_SPEC_DEPTH = 100
 
 # A number in a description may have at most this many digits, the limit of
-# Python's default int-from-string conversion; a longer one is unusable.
+# Python's default int-from-string conversion; a longer one is unusable. An
+# interpreter run with a lower limit (PYTHONINTMAXSTRDIGITS, -X
+# int_max_str_digits, sys.set_int_max_str_digits) lowers the bound to it.
 MAX_NUMBER_DIGITS = 4300
+
+
+def max_number_digits() -> int:
+    """The digit bound in force: MAX_NUMBER_DIGITS or the interpreter's lower limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    return min(limit, MAX_NUMBER_DIGITS) if limit else MAX_NUMBER_DIGITS
 
 
 class RingSpecError(ValueError):
@@ -147,8 +156,9 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise RingSpecError("missing number", start, expected="a digit")
-        if self.pos - start > MAX_NUMBER_DIGITS:
-            raise RingSpecError(f"number longer than {MAX_NUMBER_DIGITS} digits", start)
+        bound = max_number_digits()
+        if self.pos - start > bound:
+            raise RingSpecError(f"number longer than {bound} digits", start)
         value = int(self.text[start:self.pos])
         if value == 0:
             raise RingSpecError("size parameter must be positive", start)

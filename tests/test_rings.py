@@ -15,6 +15,7 @@ from ringlab import (
     ZmodRing,
     build_ring,
     check_ring_axioms,
+    classify_payload,
     corner_ring,
     idempotents,
     witness_payload,
@@ -159,8 +160,7 @@ def test_slot_codec_matches_oracle_on_every_pair(rings, spec):
     n = ring.size
     _check_against_oracle(ring, [(a, b) for a in range(n) for b in range(n)])
     # tabled carriers: the tables must be the raw operations
-    ring.add(0, 0)  # the first arithmetic call fills the tables
-    assert ring._mul_table is not None
+    ring._fill_tables()
     for a in range(n):
         assert ring._neg_table[a] == ring._raw_neg(a)
         for b in range(n):
@@ -206,15 +206,12 @@ def test_inverse_fast_paths_agree_with_scan(rings, spec):
         assert ring.inverse_of(x) == ring._scan_inverse(x)
 
 
-def test_untabled_carrier_matches_tabled_snapshot(rings, monkeypatch):
+def test_untabled_carrier_matches_tabled_snapshot(rings):
     big = rings("M2(Z6)")  # 1296 elements, beyond the table threshold
     big.add(0, 0)
     assert big._mul_table is None
-    with monkeypatch.context() as patch:
-        patch.setattr(rings_module, "_TABLE_THRESHOLD", big.size)
-        snap = build_ring("M2(Z6)")
-        snap.add(0, 0)
-    assert snap._mul_table is not None
+    snap = build_ring("M2(Z6)")
+    snap._fill_tables()  # the structural build, past the threshold
     probes = list(range(0, 1296, 97)) + [1295]
     for a in probes:
         for b in probes:
@@ -254,10 +251,10 @@ def test_units_cached_and_ascending(rings):
 # Cayley tables ------------------------------------------------------------------
 #
 # The structural builds against FiniteRing's pairwise build through _raw_*,
-# entry by entry, on carriers up to the threshold: the family, 'B' and 'H'
-# rows, noncommutative and nested bases, the 1024-element edge, and bases
-# whose tables break the ring laws, where any reasoning from those laws
-# would go wrong.
+# entry by entry, on carriers up to the threshold: the family, list, 'B' and
+# 'H' rows, noncommutative and nested bases, the 1024-element edge, and
+# bases whose tables break the ring laws, where any reasoning from those
+# laws would go wrong.
 
 TABLED = CURATED_FAMILY + ("M2(Z4)", "M3(Z2)", "T2(Z8)", "M2(Z2xZ2)", "T2(T2(Z2))",
                            "Z2xT2(T2(Z2))")
@@ -265,7 +262,7 @@ TABLED = CURATED_FAMILY + ("M2(Z4)", "M3(Z2)", "T2(Z8)", "M2(Z2xZ2)", "T2(T2(Z2)
 
 def _assert_tables_match_pairwise_build(ring):
     assert ring.size <= rings_module._TABLE_THRESHOLD
-    ring.add(ring.zero, ring.zero)  # the first arithmetic call fills the tables
+    ring._fill_tables()
     assert list(ring._neg_table) == FiniteRing._neg_row(ring)
     for table, rows in ((ring._add_table, FiniteRing._add_rows(ring)),
                         (ring._mul_table, FiniteRing._mul_rows(ring))):
@@ -296,39 +293,78 @@ def test_tables_match_pairwise_build_over_law_breaking_bases(build):
 
 
 def test_tables_are_compact_rows():
-    for spec, code in (("Z2", "B"), ("M2(Z4)", "B"), ("T2(Z2)xZ4xZ4xZ4", "H"),
-                       ("Z2xT2(T2(Z2))", "H")):
+    for spec, row in (("Z2", list), ("M2(Z2)xZ2xZ4", list), ("M2(Z4)", "B"),
+                      ("T2(Z2)xZ4xZ4xZ4", "H"), ("Z2xT2(T2(Z2))", "H")):
         ring = build_ring(spec)
-        ring.mul(0, 0)
-        for table in (ring._add_table, ring._mul_table):
-            assert {row.typecode for row in table} == {code}
-        assert ring._neg_table.typecode == code
+        ring._fill_tables()
+        for table in (ring._add_table, ring._mul_table, [ring._neg_table]):
+            if row is list:
+                assert {type(r) for r in table} == {list}
+            else:
+                assert {r.typecode for r in table} == {row}
 
 
-def test_tables_fill_on_first_arithmetic_call():
-    for first_call in (lambda r: r.add(3, 5), lambda r: r.neg(3), lambda r: r.mul(3, 5)):
-        ring = build_ring("M2(Z4)")
-        assert (ring._add_table, ring._mul_table, ring._neg_table) == (None, None, None)
-        first_call(ring)
-        assert all(t is not None for t in (ring._add_table, ring._mul_table,
-                                           ring._neg_table))
+def _untabled(ring):
+    return (ring._add_table, ring._mul_table, ring._neg_table) == (None, None, None)
+
+
+@pytest.mark.parametrize("last", ["add", "neg", "mul"])
+def test_tables_fill_when_the_countdown_runs_out(last):
+    ring = build_ring("M2(Z4)")
+    assert _untabled(ring)
+    countdown = ring._fill_countdown
+    assert countdown == 256 * 256 // 64
+    calls = {"add": (ring.add, ring._raw_add, (3, 5)), "neg": (ring.neg, ring._raw_neg, (3,)),
+             "mul": (ring.mul, ring._raw_mul, (3, 5))}
+    for i in range(countdown - 1):
+        op, raw, args = calls[("add", "neg", "mul")[i % 3]]
+        assert op(*args) == raw(*args)
+    assert _untabled(ring) and ring._fill_countdown == 1
+    op, raw, args = calls[last]
+    assert op(*args) == raw(*args)  # the last untabled op fills, then reads
+    assert not any(t is None for t in (ring._add_table, ring._mul_table, ring._neg_table))
+
+
+def test_residue_rings_table_when_small_and_never_when_large():
+    small, large = build_ring("Z128"), build_ring("Z129")
+    assert small.mul(3, 5) == 15 and not _untabled(small)
+    for a in large.elements():
+        for b in large.elements():
+            assert large.mul(a, b) == a * b % 129
+    assert _untabled(large)
+
+
+def test_short_request_fills_nothing_and_a_sweep_fills():
+    # corner witness at e = 1: a few thousand ops, against fills of 0.1-1 s
+    for spec in ("Z1000", "M1(Z1000)", "T2(T2(Z2))xZ2", "Z2xT2(T2(Z2))"):
+        ring = build_ring(spec)
+        payload, ok = witness_payload(ring, ring.one, ring.one, 0, ring.one)
+        assert ok and payload["witness"]["ok"]
+        assert _untabled(ring), spec
+    ring = build_ring("M2(Z4)")
+    classify_payload(ring)
+    assert ring._mul_table is not None
 
 
 @pytest.mark.parametrize("bad", ["e", "a", "b", "u", "v"])
 def test_witness_refused_for_a_bad_code_fills_nothing(bad):
     ring = build_ring("M2(Z4)")
+    countdown = ring._fill_countdown
     codes = dict(e=ring.one, a=ring.one, b=0, u=ring.one, v=ring.one)
     codes[bad] = ring.size
     with pytest.raises(ValueError, match="not an element code"):
         witness_payload(ring, **codes)
-    assert (ring._add_table, ring._mul_table, ring._neg_table) == (None, None, None)
+    assert _untabled(ring) and ring._fill_countdown == countdown
 
 
 def test_carrier_above_threshold_stays_untabled(rings):
     ring = rings("M2(Z6)")
     assert ring.size == 1296 > rings_module._TABLE_THRESHOLD
     assert ring.mul(ring.one, 5) == 5 and ring.add(0, 7) == 7 and ring.neg(0) == 0
-    assert (ring._add_table, ring._mul_table, ring._neg_table) == (None, None, None)
+    for a in range(0, ring.size, 7):
+        for b in range(0, ring.size, 101):
+            ring.mul(a, b)
+    assert _untabled(ring)
 
 
 # caps -------------------------------------------------------------------------

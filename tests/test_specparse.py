@@ -1,6 +1,7 @@
 """Ring description grammar: parses, cardinalities, errors, and round trips."""
 
 import random
+import sys
 
 import pytest
 
@@ -20,7 +21,7 @@ from ringlab import (
     spec_cardinality,
     spec_to_text,
 )
-from ringlab.specparse import MAX_NUMBER_DIGITS, MAX_SPEC_DEPTH
+from ringlab.specparse import MAX_NUMBER_DIGITS, MAX_SPEC_DEPTH, max_number_digits
 
 
 def test_frozen_parses():
@@ -166,6 +167,24 @@ def test_number_digits_are_bounded():
         assert exc.value.offset == offset
         assert str(exc.value) == (f"number longer than {MAX_NUMBER_DIGITS} digits "
                                   f"at offset {offset}")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter without an int-conversion digit limit")
+def test_number_digit_bound_follows_a_lowered_interpreter_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the lowest limit Python accepts
+    try:
+        assert max_number_digits() == 640
+        assert parse_ring_spec("Z" + "9" * 640) == ZmodSpec(int("9" * 640))
+        for digits in (641, MAX_NUMBER_DIGITS):
+            with pytest.raises(RingSpecError) as exc:
+                parse_ring_spec("Z" + "9" * digits)
+            assert str(exc.value) == "number longer than 640 digits at offset 1"
+        sys.set_int_max_str_digits(0)  # no limit: the fixed bound holds
+        assert max_number_digits() == MAX_NUMBER_DIGITS
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_cardinality_is_exact_below_the_digit_bound():
