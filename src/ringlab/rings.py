@@ -239,9 +239,6 @@ class FiniteRing:
                 return v
         return None
 
-    def is_unit(self, x: int) -> bool:
-        return self.inverse_of(x) is not None
-
     def units(self) -> dict[int, int]:
         """Every unit mapped to its inverse, ascending code order, cached.
 
@@ -800,18 +797,15 @@ class AxiomReport:
 
 _AXIOM_NAMES = ("add_associative", "add_commutative", "add_identity", "add_inverse",
                 "mul_associative", "mul_identity", "left_distributive", "right_distributive")
-_CUBIC_AXIOMS = ("add_associative", "mul_associative", "left_distributive",
-                 "right_distributive")
 
 
 def check_ring_axioms(ring: FiniteRing, cap: int = DEFAULT_AXIOM_CAP) -> AxiomReport:
     """Verify the ring axioms on the whole carrier.
 
-    The identity, inverse and commutativity laws are swept directly. The
-    four three-variable laws are checked in O(n^2 g) on the additive
-    generating set G of _additive_generators, every element of which is a
-    left-nested sum of generators, in an order where each reduction's
-    premise is already proven:
+    Each law is a row of one table: its name, its arity, its failure
+    predicate, and optionally a proof in O(n^2 g) on the additive generating
+    set G of _additive_generators, every element of which is a left-nested
+    sum of generators, with the laws that proof rests on:
 
     - + associative, by Light's test: (x+g)+y = x+(g+y) for all x, y and g
       in G. The s with (x+s)+y = x+(s+y) for all x, y are closed under +:
@@ -824,18 +818,38 @@ def check_ring_axioms(ring: FiniteRing, cap: int = DEFAULT_AXIOM_CAP) -> AxiomRe
       additive in each argument, so the law spreads from G to R one
       argument at a time.
 
-    If any of those checks fails, the cubic sweeps run instead, so each
-    failed axiom is still reported with the first counterexample in
-    lexicographic code order. The cap bounds the carrier separately from
-    the general enumeration cap.
+    The rows run so that each law's premises come first. A law is proven
+    when its premises are proven and its proof passes; otherwise it is swept
+    over every tuple in lexicographic code order, which reports the first
+    counterexample or, finding none, proves the law. So only a law that
+    fails, or whose proof rests on one that fails, costs a sweep of n^arity
+    tuples. The cap bounds the carrier separately from the general
+    enumeration cap.
     """
     require_cap(ring.size, cap)
+    add, mul, neg, zero, one = ring.add, ring.mul, ring.neg, ring.zero, ring.one
+    laws = (  # name, arity, fails, proof, premises
+        ("add_associative", 3, lambda a, b, c: add(add(a, b), c) != add(a, add(b, c)),
+         _light_test, ()),
+        ("add_commutative", 2, lambda a, b: add(a, b) != add(b, a), None, ()),
+        ("add_identity", 1, lambda a: add(zero, a) != a or add(a, zero) != a, None, ()),
+        ("add_inverse", 1, lambda a: add(a, neg(a)) != zero, None, ()),
+        ("mul_identity", 1, lambda a: mul(one, a) != a or mul(a, one) != a, None, ()),
+        ("left_distributive", 3, lambda a, b, c: mul(a, add(b, c)) != add(mul(a, b), mul(a, c)),
+         _left_distributive_on_generators, ("add_associative",)),
+        ("right_distributive", 3, lambda a, b, c: mul(add(a, b), c) != add(mul(a, c), mul(b, c)),
+         _right_distributive_on_generators, ("add_associative",)),
+        ("mul_associative", 3, lambda a, b, c: mul(mul(a, b), c) != mul(a, mul(b, c)),
+         _mul_associative_on_generators, ("left_distributive", "right_distributive")),
+    )
     elems = list(ring.elements())
-    found = _sweep_below_cubic(ring, elems)
-    if _cubic_laws_hold(ring, elems):
-        found.update(dict.fromkeys(_CUBIC_AXIOMS))
-    else:
-        found.update(_sweep_cubic(ring, elems))
+    gens = _additive_generators(ring)
+    found: dict[str, Optional[tuple[int, ...]]] = {}
+    for name, arity, fails, proof, premises in laws:
+        proven = (proof is not None and all(found[p] is None for p in premises)
+                  and proof(ring, elems, gens))
+        found[name] = None if proven else next(
+            (t for t in product(elems, repeat=arity) if fails(*t)), None)
     checks = [AxiomCheck(name, found[name] is None, found[name]) for name in _AXIOM_NAMES]
     return AxiomReport(ring.spec_string, all(c.ok for c in checks), checks)
 
@@ -868,20 +882,24 @@ def _additive_generators(ring: FiniteRing) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _cubic_laws_hold(ring: FiniteRing, elems: list[int]) -> bool:
-    """The O(n^2 g) checks of check_ring_axioms; True proves all four laws.
+# The proofs of check_ring_axioms. False only sends the law to its sweep, so a
+# sum that leaves the carrier may fail a proof without harm.
 
-    False only sends the caller to the exact sweeps, so a sum that leaves
-    the carrier may fail a check without harm.
-    """
-    add, mul = ring.add, ring.mul
-    gens = _additive_generators(ring)
+
+def _light_test(ring: FiniteRing, elems: list[int], gens: tuple[int, ...]) -> bool:
+    add = ring.add
     for g in gens:
         gy = [add(g, y) for y in elems]
         for x in elems:
             xg = add(x, g)
             if [add(xg, y) for y in elems] != [add(x, s) for s in gy]:
                 return False
+    return True
+
+
+def _left_distributive_on_generators(ring: FiniteRing, elems: list[int],
+                                     gens: tuple[int, ...]) -> bool:
+    add, mul = ring.add, ring.mul
     b_plus_c = {c: [add(b, c) for b in elems] for c in gens}
     for a in elems:
         ab = [mul(a, b) for b in elems]
@@ -890,6 +908,12 @@ def _cubic_laws_hold(ring: FiniteRing, elems: list[int]) -> bool:
             ac = row[c]
             if [row.get(s) for s in b_plus_c[c]] != [add(x, ac) for x in ab]:
                 return False
+    return True
+
+
+def _right_distributive_on_generators(ring: FiniteRing, elems: list[int],
+                                      gens: tuple[int, ...]) -> bool:
+    add, mul = ring.add, ring.mul
     a_plus_b = {a: [add(a, b) for b in elems] for a in gens}
     for c in elems:
         bc = [mul(b, c) for b in elems]
@@ -898,107 +922,11 @@ def _cubic_laws_hold(ring: FiniteRing, elems: list[int]) -> bool:
             ac = col[a]
             if [col.get(s) for s in a_plus_b[a]] != [add(ac, x) for x in bc]:
                 return False
+    return True
+
+
+def _mul_associative_on_generators(ring: FiniteRing, elems: list[int],
+                                   gens: tuple[int, ...]) -> bool:
+    mul = ring.mul
     return all(mul(mul(a, b), c) == mul(a, mul(b, c))
                for a in gens for b in gens for c in gens)
-
-
-def _sweep_below_cubic(ring: FiniteRing, elems: list[int]) -> dict:
-    """First counterexample, or None, of each law in at most two variables."""
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    zero, one = ring.zero, ring.one
-    found: dict = {}
-
-    cx = None
-    for a in elems:
-        for b in elems:
-            if add(a, b) != add(b, a):
-                cx = (a, b)
-                break
-        if cx:
-            break
-    found["add_commutative"] = cx
-
-    cx = None
-    for a in elems:
-        if add(zero, a) != a or add(a, zero) != a:
-            cx = (a,)
-            break
-    found["add_identity"] = cx
-
-    cx = None
-    for a in elems:
-        if add(a, neg(a)) != zero:
-            cx = (a,)
-            break
-    found["add_inverse"] = cx
-
-    cx = None
-    for a in elems:
-        if mul(one, a) != a or mul(a, one) != a:
-            cx = (a,)
-            break
-    found["mul_identity"] = cx
-    return found
-
-
-def _sweep_cubic(ring: FiniteRing, elems: list[int]) -> dict:
-    """First counterexample in lexicographic code order, or None, of each
-    three-variable law, by exhaustive cubic loops."""
-    add, mul = ring.add, ring.mul
-    found: dict = {}
-
-    cx = None
-    for a in elems:
-        for b in elems:
-            ab = add(a, b)
-            for c in elems:
-                if add(ab, c) != add(a, add(b, c)):
-                    cx = (a, b, c)
-                    break
-            if cx:
-                break
-        if cx:
-            break
-    found["add_associative"] = cx
-
-    cx = None
-    for a in elems:
-        for b in elems:
-            ab = mul(a, b)
-            for c in elems:
-                if mul(ab, c) != mul(a, mul(b, c)):
-                    cx = (a, b, c)
-                    break
-            if cx:
-                break
-        if cx:
-            break
-    found["mul_associative"] = cx
-
-    cx = None
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
-                    cx = (a, b, c)
-                    break
-            if cx:
-                break
-        if cx:
-            break
-    found["left_distributive"] = cx
-
-    cx = None
-    for a in elems:
-        for b in elems:
-            ab = add(a, b)
-            for c in elems:
-                if mul(ab, c) != add(mul(a, c), mul(b, c)):
-                    cx = (a, b, c)
-                    break
-            if cx:
-                break
-        if cx:
-            break
-    found["right_distributive"] = cx
-    return found

@@ -251,9 +251,9 @@ def _witness_inputs(ring: FiniteRing, idem: Idempotent, a: int, b: int, u: int,
     ring.check_element(u)
     if v is not None:
         ring.check_element(v)
-    ee = corner_ring(ring, idem)
+    # a is in eRe exactly when eae = a; fRf itself is needed for b's zero divisors
     ff = corner_ring(ring, complement(ring, idem))
-    if not ee.contains(a):
+    if not ring.contains(a) or ring.mul3(idem.e, a, idem.e) != a:
         raise PreconditionError(
             "a_not_in_corner",
             f"{ring.element_repr(a)} is not in the corner at e={idem.e}")
@@ -266,7 +266,7 @@ def _witness_inputs(ring: FiniteRing, idem: Idempotent, a: int, b: int, u: int,
         raise PreconditionError(
             "middle_identity_fails",
             f"(a+b)u(a+b) != a+b for a={a}, b={b}, u={u}")
-    return ff, x
+    return ff
 
 
 def _replay_checks(ring: FiniteRing, idem: Idempotent, a: int, b: int,
@@ -307,7 +307,7 @@ def extract_corner_witness(ring: FiniteRing, idem: Idempotent, a: int, b: int,
     conditions (uv-1)e = 0 and e(vu-1) = 0 are required of the pair, which
     is all the reconstruction consumes.
     """
-    ff, _ = _witness_inputs(ring, idem, a, b, u, v)
+    ff = _witness_inputs(ring, idem, a, b, u, v)
     status = zero_divisor_status(ff, b)
     if status.left:
         raise PreconditionError(
@@ -348,7 +348,7 @@ def extract_one_sided_corner_witness(ring: FiniteRing, idem: Idempotent,
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    ff, _ = _witness_inputs(ring, idem, a, b, u, v)
+    ff = _witness_inputs(ring, idem, a, b, u, v)
     status = zero_divisor_status(ff, b)
     if side == "right" and status.right:
         raise PreconditionError(

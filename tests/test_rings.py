@@ -335,12 +335,17 @@ def test_residue_rings_table_when_small_and_never_when_large():
 
 
 def test_short_request_fills_nothing_and_a_sweep_fills():
-    # corner witness at e = 1: a few thousand ops, against fills of 0.1-1 s
-    for spec in ("Z1000", "M1(Z1000)", "T2(T2(Z2))xZ2", "Z2xT2(T2(Z2))"):
+    # corner witness at e = 1: about 2n ops, below every fill budget, against
+    # fills of 0.1-1 s
+    for spec in ("Z1000", "M1(Z1000)", "T2(T2(Z2))xZ2", "Z2xT2(T2(Z2))", "M2(Z4)",
+                 "T2(Z8)", "M2(Z5)"):
         ring = build_ring(spec)
         payload, ok = witness_payload(ring, ring.one, ring.one, 0, ring.one)
         assert ok and payload["witness"]["ok"]
         assert _untabled(ring), spec
+        if isinstance(ring, ProductRing):  # nor does its 512-element factor
+            factor = max(ring.r1, ring.r2, key=lambda r: r.size)
+            assert factor.size == 512 and _untabled(factor), spec
     ring = build_ring("M2(Z4)")
     classify_payload(ring)
     assert ring._mul_table is not None
@@ -419,6 +424,27 @@ def test_corrupted_addition_is_caught(rings):
     broken = TableRing.from_ring(rings("Z4"), override_add={(1, 2): 1})
     report = check_ring_axioms(broken)
     assert not report.ok
+
+
+def test_law_breaking_carrier_sweeps_only_the_laws_without_a_proof():
+    # M2(mulZ4) breaks both distributive laws, so they and mul_associative,
+    # whose proof rests on them, are swept and stop at their first
+    # counterexamples; + associativity keeps its proof, so the check stays
+    # far below one full cubic sweep of n^3 adds
+    ring = MatrixRing(2, _law_breaking_z4()[0])
+    n, add, adds = ring.size, ring.add, 0
+
+    def counted_add(a, b):
+        nonlocal adds
+        adds += 1
+        return add(a, b)
+
+    ring.add = counted_add
+    report = check_ring_axioms(ring)
+    assert n == 256 and adds < n ** 3
+    assert {c.name: c.counterexample for c in report.checks if not c.ok} == {
+        "mul_associative": (1, 2, 2), "mul_identity": (2,),
+        "left_distributive": (1, 1, 1), "right_distributive": (1, 1, 2)}
 
 
 # The axiom check against every law written as a plain loop over the whole

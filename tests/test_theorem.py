@@ -290,6 +290,15 @@ def test_two_sided_precondition_failures(rings, spec, kwargs, reason):
     assert isinstance(exc.value, ValueError)
 
 
+def test_code_outside_the_carrier_is_not_in_the_corner(rings):
+    # membership is tested as eae = a, which must not index past the tables
+    z6 = rings("Z6")
+    for a in (6, -1):
+        with pytest.raises(PreconditionError) as exc:
+            extract_corner_witness(z6, as_idempotent(z6, 3), a=a, b=4, u=1)
+        assert exc.value.reason == "a_not_in_corner"
+
+
 @pytest.mark.parametrize("extract", [
     extract_corner_witness,
     lambda *args, **kw: extract_one_sided_corner_witness(*args, side="right", **kw),
