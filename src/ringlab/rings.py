@@ -19,7 +19,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations, product
+from itertools import permutations, product, repeat
+from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 DEFAULT_SIZE_CAP = 2 ** 20
@@ -284,7 +285,7 @@ class ZmodRing(FiniteRing):
     A residue op costs only about two table reads, so a table saves little
     per op, and counting down to a fill would cost more than it saves. A
     residue ring small enough for list rows fills its tables on its first
-    op; a larger one never does.
+    op; a larger one only for check_ring_axioms, whose proofs read them.
     """
 
     _fill_price = 0.0
@@ -388,9 +389,9 @@ class _SquareRing(FiniteRing):
 
     @property
     def _fill_price(self) -> float:
-        # k = 1 evaluates every table entry through the base; k > 1 only
-        # row-vector products, a vanishing share of the entries
-        return 0.5 if self.k == 1 else 1 / 64
+        # the fill evaluates only row-vector products, a share of the entries
+        # that falls as k grows; k = 1 composes rows of the base's tables
+        return 1 / 64 if self.k <= 2 else 1 / 256
 
     def _digits(self, code: int) -> list[int]:
         B = self.base.size
@@ -477,7 +478,15 @@ class _SquareRing(FiniteRing):
             parts.append(shares)
         return _summed_rows(parts, n)
 
-    def _add_rows(self) -> Iterable[bytes]:
+    def _base_tables(self) -> tuple[list, list]:
+        """The base's add and mul tables, filled now if they are not yet."""
+        if self.base._add_table is None:
+            self.base._fill_tables()
+        return self.base._add_table, self.base._mul_table
+
+    def _add_rows(self) -> Iterable:
+        if self.k == 1:  # entry (a, b) is the base's a + b
+            return self._base_tables()[0]
         add = self.base.add
         return self._slot_rows([(1, [(p, (0,), (p,))]) for p in range(len(self._slots))],
                                lambda xs, ys: add(xs[0], ys[0]))
@@ -495,6 +504,11 @@ class _SquareRing(FiniteRing):
         run is one matrix row, and its shares are the row-vector products
         r*b for every row r of base digits.
         """
+        if self.k == 1:  # entry (a, b) is the base's 0 + ab: its + row of 0 after mul row a
+            add_rows, mul_rows = self._base_tables()
+            pack, compose = _row_ops(self.size)
+            zero_row = pack(add_rows[0])
+            return (compose(zero_row, pack(row)) for row in mul_rows)
         add, mul, zero = self.base.add, self.base.mul, self.base.zero
 
         def dot(xs, ys):
@@ -803,20 +817,24 @@ def check_ring_axioms(ring: FiniteRing, cap: int = DEFAULT_AXIOM_CAP) -> AxiomRe
     """Verify the ring axioms on the whole carrier.
 
     Each law is a row of one table: its name, its arity, its failure
-    predicate, and optionally a proof in O(n^2 g) on the additive generating
-    set G of _additive_generators, every element of which is a left-nested
-    sum of generators, with the laws that proof rests on:
+    predicate, and the laws its proof in _row_proofs rests on, if it has
+    one. Write A_x and M_x for row x of the + and the * table, A^x and M^x
+    for their columns, and f.h for "apply h, then f". With G the additive
+    generating set of _additive_generators, every element of which is a
+    left-nested sum of generators, the proofs are four identities of rows,
+    each compared a whole row at a time, and one scalar check:
 
-    - + associative, by Light's test: (x+g)+y = x+(g+y) for all x, y and g
-      in G. The s with (x+s)+y = x+(s+y) for all x, y are closed under +:
+    - + associative, by Light's test: A_(x+g) = A_x.A_g for every x and g in
+      G. The s with (x+s)+y = x+(s+y) for all x, y are closed under +:
       (x+(s+t))+y = ((x+s)+t)+y = (x+s)+(t+y) = x+(s+(t+y)) = x+((s+t)+y).
-    - a(b+c) = ab+ac for all a, b and c in G, and (a+b)c = ac+bc for all b,
-      c and a in G. Given + associative, the c (resp. a) satisfying the law
-      are closed under +: a(b+(c+d)) = a((b+c)+d) = (ab+ac)+ad = ab+a(c+d),
-      and symmetrically on the right.
-    - (ab)c = a(bc) on G^3. Given both distributive laws, both sides are
-      additive in each argument, so the law spreads from G to R one
-      argument at a time.
+    - + commutative: A_x = A^x for every x, the table is its transpose.
+    - a(b+c) = ab+ac: M_a.A^c = A^(ac).M_a for every a and c in G; (a+b)c =
+      ac+bc: M^c.A_a = A_(ac).M^c for every c and a in G. Given +
+      associative, the c (resp. a) satisfying the law are closed under +:
+      a(b+(c+d)) = a((b+c)+d) = (ab+ac)+ad = ab+a(c+d), and symmetrically.
+    - (ab)c = a(bc) on G^3, a scalar check. Given both distributive laws,
+      both sides are additive in each argument, so the law spreads from G
+      to R one argument at a time.
 
     The rows run so that each law's premises come first. A law is proven
     when its premises are proven and its proof passes; otherwise it is swept
@@ -828,26 +846,28 @@ def check_ring_axioms(ring: FiniteRing, cap: int = DEFAULT_AXIOM_CAP) -> AxiomRe
     """
     require_cap(ring.size, cap)
     add, mul, neg, zero, one = ring.add, ring.mul, ring.neg, ring.zero, ring.one
-    laws = (  # name, arity, fails, proof, premises
-        ("add_associative", 3, lambda a, b, c: add(add(a, b), c) != add(a, add(b, c)),
-         _light_test, ()),
-        ("add_commutative", 2, lambda a, b: add(a, b) != add(b, a), None, ()),
-        ("add_identity", 1, lambda a: add(zero, a) != a or add(a, zero) != a, None, ()),
-        ("add_inverse", 1, lambda a: add(a, neg(a)) != zero, None, ()),
-        ("mul_identity", 1, lambda a: mul(one, a) != a or mul(a, one) != a, None, ()),
+    laws = (  # name, arity, fails, premises of the proof
+        ("add_associative", 3, lambda a, b, c: add(add(a, b), c) != add(a, add(b, c)), ()),
+        ("add_commutative", 2, lambda a, b: add(a, b) != add(b, a), ()),
+        ("add_identity", 1, lambda a: add(zero, a) != a or add(a, zero) != a, ()),
+        ("add_inverse", 1, lambda a: add(a, neg(a)) != zero, ()),
+        ("mul_identity", 1, lambda a: mul(one, a) != a or mul(a, one) != a, ()),
         ("left_distributive", 3, lambda a, b, c: mul(a, add(b, c)) != add(mul(a, b), mul(a, c)),
-         _left_distributive_on_generators, ("add_associative",)),
+         ("add_associative",)),
         ("right_distributive", 3, lambda a, b, c: mul(add(a, b), c) != add(mul(a, c), mul(b, c)),
-         _right_distributive_on_generators, ("add_associative",)),
+         ("add_associative",)),
         ("mul_associative", 3, lambda a, b, c: mul(mul(a, b), c) != mul(a, mul(b, c)),
-         _mul_associative_on_generators, ("left_distributive", "right_distributive")),
+         ("left_distributive", "right_distributive")),
     )
     elems = list(ring.elements())
-    gens = _additive_generators(ring)
+    proofs = _row_proofs(ring, elems)
     found: dict[str, Optional[tuple[int, ...]]] = {}
-    for name, arity, fails, proof, premises in laws:
-        proven = (proof is not None and all(found[p] is None for p in premises)
-                  and proof(ring, elems, gens))
+    for name, arity, fails, premises in laws:
+        try:
+            proven = (name in proofs and all(found[p] is None for p in premises)
+                      and proofs[name]())
+        except KeyError:  # a sum or product left the carrier
+            proven = False
         found[name] = None if proven else next(
             (t for t in product(elems, repeat=arity) if fails(*t)), None)
     checks = [AxiomCheck(name, found[name] is None, found[name]) for name in _AXIOM_NAMES]
@@ -882,51 +902,63 @@ def _additive_generators(ring: FiniteRing) -> tuple[int, ...]:
     return tuple(gens)
 
 
-# The proofs of check_ring_axioms. False only sends the law to its sweep, so a
-# sum that leaves the carrier may fail a proof without harm.
+# Rows of a carrier of n elements hold positions in its element list: bytes
+# up to 256 elements, tuples above.
 
 
-def _light_test(ring: FiniteRing, elems: list[int], gens: tuple[int, ...]) -> bool:
-    add = ring.add
-    for g in gens:
-        gy = [add(g, y) for y in elems]
-        for x in elems:
-            xg = add(x, g)
-            if [add(xg, y) for y in elems] != [add(x, s) for s in gy]:
-                return False
-    return True
+def _row_ops(n: int) -> tuple[Callable, Callable]:
+    """pack, which makes a row from its entries, and compose(outer, inner),
+    the row of "apply inner, then outer" made in C: entry i is outer[inner[i]]."""
+    if n <= 256:
+        return bytes, lambda outer, inner: inner.translate(outer.ljust(256, b"\0"))
+
+    def compose(outer: tuple, inner: Iterable[int]) -> tuple:
+        return itemgetter(*inner)(outer)
+    return partial(compose, tuple(range(n))), compose
 
 
-def _left_distributive_on_generators(ring: FiniteRing, elems: list[int],
-                                     gens: tuple[int, ...]) -> bool:
-    add, mul = ring.add, ring.mul
-    b_plus_c = {c: [add(b, c) for b in elems] for c in gens}
-    for a in elems:
-        ab = [mul(a, b) for b in elems]
-        row = dict(zip(elems, ab))
-        for c in gens:
-            ac = row[c]
-            if [row.get(s) for s in b_plus_c[c]] != [add(x, ac) for x in ab]:
-                return False
-    return True
+def _cayley_rows(ring: FiniteRing, elems: list[int]) -> list[Callable[[int], Any]]:
+    """Getters of A_x, A^x, M_x and M^x by the position x in elems.
+
+    A dense carrier within _TABLE_THRESHOLD reads its Cayley tables, filled
+    now if they are not yet. Any other carrier computes each row through
+    add and mul when asked, holding none; a sum or product that leaves the
+    carrier raises KeyError.
+    """
+    n, pack = len(elems), _row_ops(len(elems))[0]
+    getters = []
+    if isinstance(ring.elements(), range) and n <= _TABLE_THRESHOLD:
+        if ring._add_table is None:
+            ring._fill_tables()
+        for rows in (list(map(pack, t)) for t in (ring._add_table, ring._mul_table)):
+            getters += (rows.__getitem__, list(map(pack, zip(*rows))).__getitem__)
+        return getters
+    index = dict(zip(elems, range(n))).__getitem__
+    for op in (ring.add, ring.mul):
+        getters += (lambda x, op=op: pack(map(index, map(op, repeat(elems[x], n), elems))),
+                    lambda x, op=op: pack(map(index, map(op, elems, repeat(elems[x], n)))))
+    return getters
 
 
-def _right_distributive_on_generators(ring: FiniteRing, elems: list[int],
-                                      gens: tuple[int, ...]) -> bool:
-    add, mul = ring.add, ring.mul
-    a_plus_b = {a: [add(a, b) for b in elems] for a in gens}
-    for c in elems:
-        bc = [mul(b, c) for b in elems]
-        col = dict(zip(elems, bc))
-        for a in gens:
-            ac = col[a]
-            if [col.get(s) for s in a_plus_b[a]] != [add(ac, x) for x in bc]:
-                return False
-    return True
+def _row_proofs(ring: FiniteRing, elems: list[int]) -> dict[str, Callable[[], bool]]:
+    """The proofs of check_ring_axioms, by law name. Each may raise
+    KeyError when a sum or product leaves the carrier; like False, that
+    only sends the law to its sweep."""
+    A, AT, M, MT = _cayley_rows(ring, elems)
+    compose, xs, mul = _row_ops(len(elems))[1], range(len(elems)), ring.mul
+    gens = _additive_generators(ring)
+    gs = [elems.index(g) for g in gens]
 
+    def holds(rows: Callable, lines: Callable, side: Callable) -> bool:
+        # compose(R, L) == side(R, R[g]) for every R = rows(x) and L = lines(g)
+        at_gens = [(lines(g), g) for g in gs]
+        return all(compose(R, L) == side(R, R[g]) for R in map(rows, xs) for L, g in at_gens)
 
-def _mul_associative_on_generators(ring: FiniteRing, elems: list[int],
-                                   gens: tuple[int, ...]) -> bool:
-    mul = ring.mul
-    return all(mul(mul(a, b), c) == mul(a, mul(b, c))
-               for a in gens for b in gens for c in gens)
+    return {
+        "add_associative": lambda: holds(A, A, lambda Ax, s: A(s)),
+        "add_commutative": lambda: all(map(eq, map(A, xs), map(AT, xs))),
+        "left_distributive": lambda: holds(M, AT, lambda Ma, s: compose(AT(s), Ma)),
+        "right_distributive": lambda: holds(MT, A, lambda Mc, s: compose(A(s), Mc)),
+        "mul_associative": lambda: all(mul(mul(a, b), c) == mul(a, mul(b, c))
+                                       for a in gens for b in gens for c in gens),
+    }

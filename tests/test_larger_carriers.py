@@ -11,7 +11,7 @@ import pytest
 from ringlab import build_ring, classify_payload
 from ringlab.cli import EXIT_PASS, run_command
 
-LARGER = ("M2(Z4)", "T2(Z8)", "M2(Z3)xZ2", "M3(Z2)")
+LARGER = ("M2(Z4)", "T2(Z8)", "M2(Z3)xZ2", "M3(Z2)", "M2(Z5)")
 
 
 @pytest.mark.parametrize("spec", LARGER)
