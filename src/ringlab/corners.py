@@ -11,7 +11,7 @@ embedding report checks exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .rings import FiniteRing
 
@@ -51,21 +51,24 @@ class CornerRing(FiniteRing):
 
     The carrier is the sorted image of x -> exe, which always contains the
     ambient zero. Arithmetic delegates to the ambient ring, so corner codes
-    are ambient codes and no re-encoding is ever needed.
+    are ambient codes and no re-encoding is ever needed, and the kernels
+    read the ambient ring's mul table. A corner holds no tables of its own
+    and never counts down to a fill: its ops are the ambient ring's.
     """
 
     def __init__(self, ambient: FiniteRing, idem: Idempotent) -> None:
         e = idem.e
-        carrier = sorted({ambient.mul3(e, x, e) for x in ambient.elements()})
+        carrier = tuple(sorted(set(ambient.sandwiches(e, ambient.elements(), e))))
         self.ambient = ambient
         self.idem = idem
         self._carrier = carrier
         self._carrier_set = frozenset(carrier)
         super().__init__(size=len(carrier), one=e,
                          commutative=ambient.is_commutative)
+        self._fill_countdown = 0
 
-    def elements(self) -> Iterable[int]:
-        return iter(self._carrier)
+    def elements(self) -> Sequence[int]:
+        return self._carrier
 
     def contains(self, x: int) -> bool:
         return x in self._carrier_set
@@ -78,6 +81,9 @@ class CornerRing(FiniteRing):
 
     def mul(self, a: int, b: int) -> int:
         return self.ambient.mul(a, b)
+
+    def _kernel_table(self) -> Optional[list]:
+        return self.ambient._kernel_table()
 
     def inverse_of(self, x: int) -> Optional[int]:
         """Inverse of x in eRe, read off the ambient unit x + f.

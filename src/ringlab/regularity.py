@@ -3,7 +3,10 @@
 An element a is regular when a = a*t*a for some t, and unit regular when some
 such middle term is a unit. Each search runs once per element and ring: its
 result is memoised on the ring instance, and the sets are read off the
-per-element results.
+per-element results. Each search is one call of a product kernel of the
+ring (FiniteRing.find_sandwich and its kin), which reads the ring's mul
+table rows when they are filled and stops at the first hit in ascending
+code order.
 
 The one-sided variants ask for a middle term with a one-sided inverse. On a
 finite carrier they coincide with the two-sided notion: if uv = 1 then
@@ -61,8 +64,7 @@ def regular_witness(ring: FiniteRing, a: int) -> Optional[int]:
     ring.check_element(a)
     found = ring.cached("regular_witness", dict)
     if a not in found:
-        found[a] = next((t for t in ring.elements() if ring.mul3(a, t, a) == a),
-                        None)
+        found[a] = ring.find_sandwich(a, ring.elements(), a, a)
     return found[a]
 
 
@@ -71,8 +73,9 @@ def unit_regular_witness(ring: FiniteRing, a: int) -> Optional[tuple[int, int]]:
     ring.check_element(a)
     found = ring.cached("unit_regular_witness", dict)
     if a not in found:
-        found[a] = next(((u, u_inv) for u, u_inv in ring.units().items()
-                         if ring.mul3(a, u, a) == a), None)
+        units = ring.units()
+        u = ring.find_sandwich(a, units, a, a)
+        found[a] = None if u is None else (u, units[u])
     return found[a]
 
 
@@ -107,9 +110,9 @@ def zero_divisor_status(ring: FiniteRing, b: int) -> ZeroDivisorStatus:
     ring.check_element(b)
     found = ring.cached("zero_divisor_status", dict)
     if b not in found:
-        zero = ring.zero
-        left = any(ring.mul(b, c) == zero for c in ring.elements() if c != zero)
-        right = any(ring.mul(c, b) == zero for c in ring.elements() if c != zero)
+        # the zero element is code 0, the one falsy code
+        left = ring.find_left(b, filter(None, ring.elements()), 0) is not None
+        right = ring.find_right(filter(None, ring.elements()), b, 0) is not None
         found[b] = ZeroDivisorStatus(left=left, right=right)
     return found[b]
 

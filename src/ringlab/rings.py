@@ -9,7 +9,10 @@ built structurally from the tables of its parts and stored as compact array
 rows above _LIST_ROWS elements; a larger one evaluates structurally per
 call. Arithmetic is fixed at construction; derived sweeps (units,
 idempotents, corners, regularity witnesses) are memoised lazily on
-the instance and freed with it. Every derived sweep is deterministic.
+the instance and freed with it. Every derived sweep is deterministic. The
+exhaustive searches read products through the kernels of FiniteRing, which
+index the rows of a filled mul table and call mul otherwise; units() finds
+each inverse in its element's mul row in C.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import permutations, product, repeat
 from operator import eq, itemgetter
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_SIZE_CAP = 2 ** 20
 DEFAULT_AXIOM_CAP = 2 ** 8
@@ -87,6 +90,29 @@ def _summed_rows(parts: list[list[int]], size: int) -> Iterable[bytes]:
     return (sum(ints).to_bytes(nbytes, sys.byteorder) for ints in product(*parts))
 
 
+def _positions(row: Sequence[int], code: int) -> Iterator[int]:
+    """Every position of code in a table row, ascending, each found in C:
+    list.index on a list row, bytes.find on the bytes of an array row,
+    where a match counts only at a whole entry, an offset that the entry
+    width divides."""
+    if isinstance(row, list):
+        i = -1
+        try:
+            while True:
+                i = row.index(code, i + 1)
+                yield i
+        except ValueError:
+            return
+    data = row.tobytes()
+    pattern = array(row.typecode, (code,)).tobytes()
+    width = len(pattern)
+    i = data.find(pattern)
+    while i >= 0:
+        if i % width == 0:
+            yield i // width
+        i = data.find(pattern, i + 1)
+
+
 class FiniteRing:
     """Common interface for every ring carrier in this package.
 
@@ -98,10 +124,22 @@ class FiniteRing:
     request never pays for a fill, and a long one pays at most about twice
     what the better of filling at once or never would have. The pairwise
     default of the row builders, through _raw_*, is the oracle that the
-    structural overrides must equal entry by entry. The generic unit search
-    is a two-sided linear scan in ascending code order; structured subclasses
-    override inverse_of with construction-aware fast paths that must agree
-    with the scan.
+    structural overrides must equal entry by entry.
+
+    Units: a dense carrier whose tables are filled, or due to fill, takes
+    each inverse as the first v in ascending order with xv = 1 in x's mul
+    row, found in C, and vx = 1. Any other carrier asks inverse_of per
+    element: the generic one is that two-sided scan through mul, and
+    structured subclasses override it with construction-aware fast paths
+    that must agree with the scan. Those serve untabled carriers and single
+    inverses, such as a witness request's.
+
+    The exhaustive searches read products through the kernels, one per
+    product shape: find_left, find_right and find_sandwich return the first
+    candidate, in the order given, whose product is a target, and
+    sandwiches yields every product lazily. Each reads the rows of the mul
+    table when one is filled (a corner reads its ambient ring's) and calls
+    the bound mul otherwise, so the choice lives here alone.
 
     Derived sweeps live in one per-instance memo, filled through cached(),
     so they are freed with the ring.
@@ -141,7 +179,8 @@ class FiniteRing:
 
     # carrier ---------------------------------------------------------------
 
-    def elements(self) -> Iterable[int]:
+    def elements(self) -> Sequence[int]:
+        """The carrier in ascending code order."""
         return range(self.size)
 
     def contains(self, x: int) -> bool:
@@ -227,6 +266,47 @@ class FiniteRing:
     def _neg_row(self) -> Iterable:
         return [self._raw_neg(a) for a in range(self.size)]
 
+    # kernels -----------------------------------------------------------------
+
+    def _kernel_table(self) -> Optional[list]:
+        """The mul table the kernels read, or None to go through mul."""
+        return self._mul_table
+
+    def sandwiches(self, a: int, xs: Iterable[int], b: int) -> Iterator[int]:
+        """(a*x)*b for each x of xs, lazily, as mul3 computes it."""
+        t = self._kernel_table()
+        if t is None:
+            mul = self.mul
+            return (mul(mul(a, x), b) for x in xs)
+        row = t[a]
+        return (t[row[x]][b] for x in xs)
+
+    def find_left(self, a: int, xs: Iterable[int], target: int) -> Optional[int]:
+        """The first x of xs with a*x == target, or None."""
+        t = self._kernel_table()
+        if t is None:
+            mul = self.mul
+            return next((x for x in xs if mul(a, x) == target), None)
+        row = t[a]
+        return next((x for x in xs if row[x] == target), None)
+
+    def find_right(self, xs: Iterable[int], b: int, target: int) -> Optional[int]:
+        """The first x of xs with x*b == target, or None."""
+        t = self._kernel_table()
+        if t is None:
+            mul = self.mul
+            return next((x for x in xs if mul(x, b) == target), None)
+        return next((x for x in xs if t[x][b] == target), None)
+
+    def find_sandwich(self, a: int, xs: Iterable[int], b: int, target: int) -> Optional[int]:
+        """The first x of xs with (a*x)*b == target, or None."""
+        t = self._kernel_table()
+        if t is None:
+            mul = self.mul
+            return next((x for x in xs if mul(mul(a, x), b) == target), None)
+        row = t[a]
+        return next((x for x in xs if t[row[x]][b] == target), None)
+
     # units -------------------------------------------------------------------
 
     def inverse_of(self, x: int) -> Optional[int]:
@@ -247,9 +327,15 @@ class FiniteRing:
         Treat the returned dict as read-only.
         """
         def sweep() -> dict[int, int]:
+            if self._mul_table is None and self._fill_countdown:
+                self._fill_tables()
+            t, one = self._mul_table, self.one
+            if t is None:
+                return {x: v for x in self.elements()
+                        if (v := self.inverse_of(x)) is not None}
             table: dict[int, int] = {}
-            for x in self.elements():
-                v = self.inverse_of(x)
+            for x, row in enumerate(t):
+                v = next((v for v in _positions(row, one) if t[v][x] == one), None)
                 if v is not None:
                     table[x] = v
             return table

@@ -19,6 +19,10 @@ facts, such as condition 4 forcing condition 3, are kept as an explicit
 implication chain. Every condition reads the same per-ring memo of witness
 searches, so a broken search would break them alike; tests/test_memo.py
 catches that by comparing the memo with plain scans on the curated family.
+What the conditions at one idempotent share, its two corners and the
+candidates b of each sweep, is built once per ring and idempotent (_Sweeps),
+and the sweeps read the memo of unit-regular witnesses directly, calling the
+search only for a sum not yet in it.
 
 Witness recovery goes the other way: from a unit-regularity equation for
 a + b in R it rebuilds a corner witness u' = e(u - u*b*u)e, v' = e*v*e and
@@ -29,7 +33,7 @@ subset that the hypotheses in force actually guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .corners import Idempotent, as_idempotent, complement, corner_ring, idempotents
 from .regularity import (
@@ -77,18 +81,52 @@ class InconsistencyError(Exception):
         self.bundle = bundle
 
 
-# Conditions 3 through 5 sweep a + b over one subset of fRf, every or some:
-# label -> (candidate b in ascending code order, universal?). The candidates
-# are computed at call time through the module names, and those of 5 stay a
-# generator, so each zero-divisor test runs only until a witness is found.
-_SWEEPS = {
-    "3": (lambda ff: ff.units(), True),
-    "3'": (lambda ff: ff.units(), False),
-    "4": (lambda ff: unit_regular_set(ff), True),
-    "4'": (lambda ff: unit_regular_set(ff), False),
-    "5": (lambda ff: (b for b in ff.elements() if zero_divisor_status(ff, b).clear),
-          False),
-}
+class _Sweeps:
+    """What the conditions read at one idempotent e: the corners eRe and fRf,
+    the memo of unit-regular witnesses in R, and the candidates b of the
+    sweeps of conditions 3 through 5: the units of fRf for 3 and 3', its
+    unit-regular elements for 4 and 4', and its non zero divisors for 5."""
+
+    def __init__(self, ring: FiniteRing, idem: Idempotent) -> None:
+        self.idem = idem
+        self.ee = corner_ring(ring, idem)
+        ff = corner_ring(ring, complement(ring, idem))
+        self.witnesses = ring.cached("unit_regular_witness", dict)
+        units = tuple(ff.units())
+        unit_regular = unit_regular_set(ff)
+        self._fixed = {"3": units, "3'": units, "4": unit_regular, "4'": unit_regular}
+        self._clear: list[int] = []
+        self._unread = (b for b in ff.elements() if zero_divisor_status(ff, b).clear)
+
+    def candidates(self, label: str) -> Iterable[int]:
+        return self._non_zero_divisors() if label == "5" else self._fixed[label]
+
+    def _non_zero_divisors(self) -> Iterator[int]:
+        clear = self._clear
+        yield from clear
+        # a for loop, not yield from: closing a sweep that stopped early
+        # must leave _unread open for the next one
+        for b in self._unread:
+            clear.append(b)
+            yield b
+
+
+# Conditions 3 through 5 sweep a + b over the candidates b that _Sweeps
+# holds for the label, in ascending code order; the value says whether every
+# b must work (universal) or some b (existential). The non zero divisors of
+# 5 come from a list grown only as far as a sweep has read, so each
+# zero-divisor test runs once, and only until a witness is found.
+_SWEEPS = {"3": True, "3'": False, "4": True, "4'": False, "5": False}
+
+
+def _sweeps(ring: FiniteRing, idem: Idempotent) -> _Sweeps:
+    """The _Sweeps of idem, built once per ring and idempotent code."""
+    by_code = ring.cached("condition_sweeps", dict)
+    sweeps = by_code.get(idem.e)
+    # corner_ring checked the pair (e, f) when the entry was built
+    if sweeps is None or sweeps.idem.f != idem.f:
+        sweeps = by_code[idem.e] = _Sweeps(ring, idem)
+    return sweeps
 
 
 def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
@@ -100,30 +138,31 @@ def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
     universal reports how many b were swept, a false existential reports
     nothing.
     """
-    ee = corner_ring(ring, idem)
-    ff = corner_ring(ring, complement(ring, idem))
-    if not ee.contains(a):
+    sweeps = _sweeps(ring, idem)
+    if not sweeps.ee.contains(a):
         raise PreconditionError(
             "a_not_in_corner",
             f"{ring.element_repr(a)} is not in the corner at e={idem.e}")
 
     if label == "1":
-        pair = unit_regular_witness(ee, a)
+        pair = unit_regular_witness(sweeps.ee, a)
         return (pair is not None,
                 {"u": pair[0], "u_inv": pair[1]} if pair else None)
 
+    found = sweeps.witnesses
     if label == "2":
         s = ring.add(a, idem.f)
-        pair = unit_regular_witness(ring, s)
+        pair = found[s] if s in found else unit_regular_witness(ring, s)
         return (pair is not None,
                 {"sum": s, "u": pair[0], "u_inv": pair[1]} if pair else None)
 
     if label not in _SWEEPS:
         raise ValueError(f"unknown condition label {label!r}")
-    candidates, universal = _SWEEPS[label]
+    universal, add = _SWEEPS[label], ring.add
     checked = 0
-    for b in candidates(ff):
-        pair = unit_regular_witness(ring, ring.add(a, b))
+    for b in sweeps.candidates(label):
+        s = add(a, b)
+        pair = found[s] if s in found else unit_regular_witness(ring, s)
         if universal and pair is None:
             return (False, {"failing_b": b})
         if not universal and pair is not None:

@@ -12,13 +12,17 @@ from ringlab import (
     CornerRing,
     Idempotent,
     as_idempotent,
+    build_ring,
     check_ring_axioms,
+    classify_payload,
     complement,
     corner_product_embedding,
     corner_ring,
     idempotents,
     peirce_decompose,
+    verify_payload,
 )
+from ringlab.rings import FiniteRing
 
 
 # idempotent enumeration ----------------------------------------------------
@@ -131,6 +135,26 @@ def test_corner_inverse_outside_carrier_keeps_scan_answer(rings):
     corner = corner_ring(ring, as_idempotent(ring, 3))
     assert not corner.contains(1)
     assert corner.inverse_of(1) == corner._scan_inverse(1) == 3
+
+
+@pytest.mark.parametrize("spec", ["Z4", "Z6", "M2(Z2)", "M2(Z4)"])
+def test_corners_never_fill_tables(monkeypatch, spec):
+    # a corner's ops are the ambient ring's: it has no row builders, and a
+    # countdown or fill of its own would reach FiniteRing._neg_row
+    fill = FiniteRing._fill_tables
+
+    def guarded(ring):
+        assert not isinstance(ring, CornerRing), ring
+        fill(ring)
+
+    monkeypatch.setattr(FiniteRing, "_fill_tables", guarded)
+    ring = build_ring(spec)
+    for idem in idempotents(ring):
+        corner = corner_ring(ring, idem)
+        assert corner._fill_countdown == 0
+        assert classify_payload(corner)[1]
+        assert verify_payload(corner, axiom_cap=64)[1]
+        assert corner._mul_table is None
 
 
 def test_corner_is_cached(rings):

@@ -4,11 +4,16 @@ Every regularity search reads and fills one memo on the ring instance, and
 every condition of the theorem engine reads the same memo, so a wrong entry
 would skew them all alike. The oracles here therefore rescan each carrier
 with nothing but the ring's add and mul, written out in this file, on every
-curated ring and on both corners of each of its idempotents.
+curated ring and on both corners of each of its idempotents, and on one
+carrier for each kind of compact table row. The searches themselves scan
+rows of the mul table in C, so the row search of units() is also checked
+where a byte pattern straddles two entries and where an inverse is only
+one-sided.
 """
 
 import gc
 import weakref
+from array import array
 
 import pytest
 
@@ -28,6 +33,7 @@ from ringlab import (
     verify_payload,
     zero_divisor_status,
 )
+from ringlab.rings import _positions
 
 
 def scan_units(ring):
@@ -73,6 +79,64 @@ def test_memo_matches_plain_scans_on_ring_and_corners(spec):
     for idem in idempotents(ring):
         assert_memo_matches_scans(corner_ring(ring, idem))
         assert_memo_matches_scans(corner_ring(ring, complement(ring, idem)))
+
+
+@pytest.mark.parametrize("spec, typecode", [("M2(Z4)", "B"), ("T2(Z8)", "H")])
+def test_memo_matches_plain_scans_on_array_rows(spec, typecode):
+    ring = build_ring(spec)
+    ring._fill_tables()
+    assert {row.typecode for row in ring._mul_table} == {typecode}
+    assert_memo_matches_scans(ring)
+    idems = idempotents(ring)
+    # the zero and full corners, and both corners of the first proper idempotent
+    proper = next(idem for idem in idems if idem.e not in (0, ring.one))
+    for idem in (idems[0], proper, complement(ring, proper)):
+        corner = corner_ring(ring, idem)
+        assert corner._kernel_table() is ring._mul_table
+        assert_memo_matches_scans(corner)
+
+
+def test_row_search_counts_a_match_only_at_a_whole_entry():
+    # tables as check_ring_axioms leaves them; row 2 of Z300 holds 298, 0 at
+    # positions 149, 150, whose bytes hold those of 1 at odd offset 299
+    ring = ZmodRing(300)
+    ring._fill_tables()
+    row = ring._mul_table[2]
+    assert row.typecode == "H" and row[149:151].tolist() == [298, 0]
+    assert array("H", [1]).tobytes() in row.tobytes()
+    assert list(_positions(row, 1)) == []
+    assert list(_positions(row, 298)) == [149, 299]
+    assert list(_positions(row, 0)) == [0, 150]
+    assert 2 not in ring.units()
+    assert ring.units() == {x: v for x in ring.elements()
+                            if (v := ring._scan_inverse(x)) is not None}
+
+
+def _one_sided_units_match_scan(ring):
+    scanned = {x: v for x in ring.elements() if (v := ring._scan_inverse(x)) is not None}
+    assert ring.units() == scanned
+    return scanned
+
+
+def test_units_skip_one_sided_inverses_in_list_rows():
+    # 3*2 = 1 but 2*3 = 6, ahead of 3's inverse 5; 4*3 = 1, 3*4 = 5, and 4
+    # has no two-sided inverse left
+    broken = TableRing.from_ring(ZmodRing(7), override_mul={(3, 2): 1, (4, 2): 6,
+                                                            (4, 3): 1})
+    units = _one_sided_units_match_scan(broken)
+    assert units[3] == 5 and 4 not in units
+
+
+@pytest.mark.parametrize("n, typecode", [(200, "B"), (300, "H")])
+def test_units_skip_one_sided_inverses_in_array_rows(n, typecode):
+    ring = ZmodRing(n)
+    ring._fill_tables()
+    table = ring._mul_table
+    assert table[7].typecode == typecode
+    inverse = pow(7, -1, n)
+    table[7][2] = 1  # 7*2 = 1 now, but 2*7 = 14
+    units = _one_sided_units_match_scan(ring)
+    assert units[7] == inverse > 2
 
 
 def test_sets_read_from_a_filled_memo_match_scans():

@@ -18,10 +18,12 @@ from ringlab import (
     CONDITION_LABELS,
     CornerWitness,
     EQUIVALENCE_LABELS,
+    Idempotent,
     InconsistencyError,
     PreconditionError,
     as_idempotent,
     build_m2_scaffold,
+    build_ring,
     check_condition,
     complement,
     corner_ring,
@@ -157,6 +159,32 @@ def test_unit_regular_sums_stay_unit_regular(rings):
         for a in unit_regular_set(ee):
             for b in unit_regular_set(ff):
                 assert unit_regular_witness(ring, ring.add(a, b)) is not None
+
+
+@pytest.mark.parametrize("spec", ["Z12", "T2(Z3)", "M2(Z2)xZ2"])
+def test_conditions_do_not_depend_on_the_order_they_are_asked_in(spec):
+    # one shared context per idempotent, whose list of non zero divisors
+    # grows as far as the sweeps read: asking the elements in reverse, label
+    # by label, must give what the forward sweep gives on a fresh ring
+    forward = build_ring(spec)
+    expected = {(idem.e, report.a): (report.conditions, report.witnesses)
+                for idem in idempotents(forward)
+                for report in verify_equivalences(forward, idem)}
+    backward = build_ring(spec)
+    for idem in reversed(idempotents(backward)):
+        for label in reversed(CONDITION_LABELS):
+            for a in reversed(list(corner_ring(backward, idem).elements())):
+                conditions, witnesses = expected[idem.e, a]
+                assert check_condition(backward, idem, a, label) == (
+                    conditions[label], witnesses[label]), (idem.e, a, label)
+
+
+def test_forged_complement_is_refused_after_the_corner_was_swept(rings):
+    ring = rings("Z6")
+    idem = as_idempotent(ring, 3)
+    assert check_condition(ring, idem, 3, "5")[0]
+    with pytest.raises(ValueError, match="complement"):
+        check_condition(ring, Idempotent(e=3, f=1), 3, "5")
 
 
 # rigged disagreement paths ----------------------------------------------------
