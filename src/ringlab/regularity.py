@@ -13,6 +13,11 @@ finite carrier they coincide with the two-sided notion: if uv = 1 then
 x -> vx is injective, hence onto, so vw = 1 for some w, and u = u(vw) =
 (uv)w = w. The search is kept only so the tests can observe that collapse;
 classify does not run it.
+
+Bare regularity collapses the same way: on a finite ring a regular element
+is unit regular (see classify), so classify never runs regular_witness.
+That search and regular_set, which runs it, stay public: they are exact on
+any table, and the tests run them as the oracle of the claim.
 """
 
 from __future__ import annotations
@@ -118,7 +123,12 @@ def zero_divisor_status(ring: FiniteRing, b: int) -> ZeroDivisorStatus:
 
 
 def regular_set(ring: FiniteRing) -> tuple[int, ...]:
-    """Regular elements, ascending; a unit-regular element needs no second search."""
+    """Regular elements, ascending; a unit-regular element needs no second search.
+
+    On a ring this is unit_regular_set (see classify). The bare search still
+    runs for every other element, so the set stays exact on a table that
+    breaks the ring laws, where that collapse need not hold.
+    """
     return ring.cached("regular_set", lambda: tuple(
         a for a in ring.elements()
         if unit_regular_witness(ring, a) is not None
@@ -137,17 +147,16 @@ def is_unit_regular_ring(ring: FiniteRing) -> bool:
 def classify(ring: FiniteRing, a: int) -> RegularityWitness:
     """Strongest regularity kind of a, with witnesses.
 
-    Two-sided unit regularity is tried first, then bare regularity. The
+    Only the two-sided unit-regular search runs; when it fails, a is not
+    regular. That rests on the ring laws, as the one-sided collapse does: a
+    finite ring is semilocal, so it has stable range 1 (Bass 1964), and an
+    element a = axa of such a ring is unit regular (Ehrlich 1968). The
     one-sided kinds are never returned: a one-sided unit of a finite ring is
-    two-sided (see the module docstring), so once the two-sided search has
-    failed a one-sided search cannot succeed. The collapse test keeps that
-    claim checked.
+    two-sided (see the module docstring). Tests keep both claims checked by
+    running regular_witness and the one-sided search as oracles.
     """
     pair = unit_regular_witness(ring, a)
-    if pair is not None:
-        u, u_inv = pair
-        return RegularityWitness(RegularityKind.UNIT_REGULAR, t=u, u=u, u_partner=u_inv)
-    t = regular_witness(ring, a)
-    if t is not None:
-        return RegularityWitness(RegularityKind.REGULAR, t=t)
-    return RegularityWitness(RegularityKind.NOT_REGULAR)
+    if pair is None:
+        return RegularityWitness(RegularityKind.NOT_REGULAR)
+    u, u_inv = pair
+    return RegularityWitness(RegularityKind.UNIT_REGULAR, t=u, u=u, u_partner=u_inv)

@@ -4,16 +4,26 @@ Every command produces one document: schema_version, command, argv, ring,
 status, timing_ms and a command-specific payload. Payloads contain only
 deterministic content; wall-clock timing lives outside them at the top
 level, so byte comparison of payloads is the supported way to check that a
-run reproduces. JSON output is always sorted and indented.
+run reproduces.
+
+JSON output is exactly json.dumps(doc, indent=2, sort_keys=True), the
+writer's oracle in the tests. The stdlib writes any indented document with
+its pure-Python encoder, so emit_report goes through _json_text instead: a
+walk that writes the indentation as a %-template while the C encoder,
+reached through the public JSONEncoder, encodes the document's keys and
+scalars in one call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 from .corners import as_idempotent, idempotents
-from .regularity import classify, regular_set, unit_regular_set, RegularityKind
+from .regularity import classify, unit_regular_set, RegularityKind
 from .rings import DEFAULT_AXIOM_CAP, FiniteRing, check_ring_axioms
 from .theorem import (
     CONDITION_LABELS,
@@ -92,7 +102,8 @@ def classify_payload(ring: FiniteRing) -> tuple[dict, bool]:
         "idempotents": [idem.e for idem in idempotents(ring)] if listing else None,
         "idempotent_count": len(idempotents(ring)),
         "unit_regular_set": list(unit_regular_set(ring)) if listing else None,
-        "regular_set": list(regular_set(ring)) if listing else None,
+        # classify's kinds: an element is regular when it is unit regular
+        "regular_set": list(unit_regular_set(ring)) if listing else None,
         "unit_regular_count": kinds[RegularityKind.UNIT_REGULAR.value],
         "regular_count": ring.size - kinds[RegularityKind.NOT_REGULAR.value],
         "is_unit_regular_ring": kinds[RegularityKind.UNIT_REGULAR.value] == ring.size,
@@ -205,6 +216,191 @@ def shift_payload(truncation: int) -> tuple[dict, bool]:
     return demo, demo["ok"]
 
 
+# JSON rendering ------------------------------------------------------------
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
+_DICT = frozenset((dict,))
+_LISTS = frozenset((list, tuple))
+
+# Scalars joined by raw newlines: with ensure_ascii no encoded scalar holds
+# one, so splitting the text on "\n" gives back one token per scalar.
+_LEAVES = json.JSONEncoder(check_circular=False, separators=("\n", ": "))
+# The oracle the writer reproduces, and the writer of any node it does not know.
+_STDLIB = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _json_text(node) -> str:
+    """The text of json.dumps(node, indent=2, sort_keys=True).
+
+    One walk of the tree writes the output as a %-template, with %s for
+    each scalar and key, and gathers those scalars and keys in output
+    order. One call of the C encoder encodes them all and one % fills the
+    template, so Python writes only indentation and punctuation.
+    """
+    parts: list[str] = []
+    leaves: list = []
+    _walk(node, 0, parts, leaves)
+    tokens = _LEAVES.encode(leaves)[1:-1].split("\n") if leaves else ()
+    return "".join(parts) % tuple(tokens)
+
+
+def _newline(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+def _walk(node, depth: int, parts: list, leaves: list) -> None:
+    """Append node's template to parts and its scalars to leaves.
+
+    A container of scalars is one template piece. A list of records of one
+    shape is one piece built from one record template. Other dicts
+    and lists recurse. Anything else (a non-str key, a type outside JSON's)
+    is written by the stdlib encoder, so no shape can change the bytes.
+    """
+    kind = type(node)
+    if kind in _SCALARS:
+        parts.append("%s")
+        leaves.append(node)
+    elif kind is dict:
+        if not node:
+            parts.append("{}")
+            return
+        if set(map(type, node)) != _STR:
+            parts.append(_stdlib_text(node, depth))
+            return
+        keys = sorted(node)
+        values = list(map(node.__getitem__, keys))
+        if set(map(type, values)) <= _SCALARS:
+            parts.append(_container(depth, ["%s: %s"] * len(keys), "{}"))
+            leaves.extend(chain.from_iterable(zip(keys, values)))
+            return
+        inner = _newline(depth + 1)
+        lead = "{" + inner
+        for key, value in zip(keys, values):
+            leaves.append(key)
+            if type(value) in _SCALARS:
+                parts.append(lead + "%s: %s")
+                leaves.append(value)
+            else:
+                parts.append(lead + "%s: ")
+                _walk(value, depth + 1, parts, leaves)
+            lead = "," + inner
+        parts.append(_newline(depth) + "}")
+    elif kind in _LISTS:
+        if not node:
+            parts.append("[]")
+            return
+        kinds = set(map(type, node))
+        if kinds <= _SCALARS:
+            parts.append(_container(depth, ["%s"] * len(node), "[]"))
+            leaves.extend(node)
+            return
+        if _records(node, kinds, depth, parts, leaves):
+            return
+        inner = _newline(depth + 1)
+        lead = "[" + inner
+        for item in node:
+            parts.append(lead)
+            _walk(item, depth + 1, parts, leaves)
+            lead = "," + inner
+        parts.append(_newline(depth) + "]")
+    else:
+        parts.append(_stdlib_text(node, depth))
+
+
+def _container(depth: int, items: list, brackets: str) -> str:
+    """A non-empty list or dict at depth, one item text per line."""
+    inner = _newline(depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + _newline(depth) + brackets[1]
+
+
+def _stdlib_text(node, depth: int) -> str:
+    # every raw newline in the output is structural (ensure_ascii)
+    text = _STDLIB.encode(node).replace("\n", _newline(depth))
+    return text.replace("%", "%%")
+
+
+def _records(items, kinds: set, depth: int, parts: list, leaves: list) -> bool:
+    """Write a list of records of one shape as one piece; False if it is not.
+
+    A record is either a non-empty list of scalars, all of one length, or a
+    dict with the first record's str keys, each holding a scalar or a dict
+    of scalars with the first record's keys there.
+    """
+    if kinds <= _LISTS:
+        widths = set(map(len, items))
+        if len(widths) != 1 or 0 in widths:
+            return False
+        found = list(chain.from_iterable(items))
+        record = _container(depth + 1, ["%s"] * widths.pop(), "[]")
+    elif kinds == _DICT:
+        shaped = _record_values(items)
+        if shaped is None:
+            return False
+        found, shape = shaped
+        record = _record_template(depth + 1, shape)
+    else:
+        return False
+    if not set(map(type, found)) <= _SCALARS:
+        return False
+    parts.append(_container(depth, [record] * len(items), "[]"))
+    leaves.extend(found)
+    return True
+
+
+def _record_values(items) -> Optional[tuple[list, tuple]]:
+    """The values of dict records in output order and their shape, or None.
+
+    The shape holds (key, None) for a scalar slot and (key, subkeys) for a
+    slot holding a dict, keys and subkeys sorted. The values are gathered
+    column by column, in C.
+    """
+    first = items[0]
+    keys = first.keys()
+    if (not first or set(map(type, first)) != _STR
+            or not all(map(keys.__eq__, map(dict.keys, items)))):
+        return None
+    columns: list = []
+    shape = []
+    for key in sorted(first):
+        column = list(map(itemgetter(key), items))
+        value = first[key]
+        if type(value) is not dict:
+            shape.append((key, None))
+            columns.append(column)
+            continue
+        subkeys = value.keys()
+        if (set(map(type, column)) != _DICT or not set(map(type, value)) <= _STR
+                or not all(map(subkeys.__eq__, map(dict.keys, column)))):
+            return None
+        shape.append((key, tuple(sorted(value))))
+        columns.extend(map(itemgetter(name), column) for name in shape[-1][1])
+    if not columns:
+        return None
+    return list(chain.from_iterable(zip(*columns))), tuple(shape)
+
+
+@functools.lru_cache(maxsize=256)
+def _record_template(depth: int, shape: tuple) -> str:
+    """A dict record at depth of a shape _record_values returns: %s for each
+    value, the keys written in with their % signs escaped."""
+    keys = [key for key, _ in shape]
+    subkeys = [name for _, sub in shape if sub for name in sub]
+    names = [name.replace("%", "%%")
+             for name in _LEAVES.encode(keys + subkeys)[1:-1].split("\n")]
+    subnames = iter(names[len(keys):])
+    parts = []
+    for name, (_, sub) in zip(names, shape):
+        if sub is None:
+            parts.append(name + ": %s")
+        elif not sub:
+            parts.append(name + ": {}")
+        else:
+            parts.append(name + ": " + _container(
+                depth + 1, [next(subnames) + ": %s" for _ in sub], "{}"))
+    return _container(depth, parts, "{}")
+
+
 # human rendering -----------------------------------------------------------
 
 _CONDITION_DISPLAY = {label: f"({label})" for label in CONDITION_LABELS}
@@ -212,7 +408,7 @@ _CONDITION_DISPLAY = {label: f"({label})" for label in CONDITION_LABELS}
 
 def emit_report(doc: dict, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return _json_text(doc)
     if fmt != "human":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [

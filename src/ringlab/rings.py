@@ -90,6 +90,30 @@ def _summed_rows(parts: list[list[int]], size: int) -> Iterable[bytes]:
     return (sum(ints).to_bytes(nbytes, sys.byteorder) for ints in product(*parts))
 
 
+def _pair_rows(rows1: Sequence[Sequence[int]],
+               rows2: Sequence[Sequence[int]]) -> Iterable[bytes]:
+    """Rows of a table on pairs of positions, as _summed_rows gives them.
+
+    With n1 and n2 the lengths of the factor rows, position (b1, b2) is
+    b1 * n2 + b2, and entry (b1, b2) of row (a1, a2) is rows1[a1][b1] * n2
+    + rows2[a2][b2].
+    """
+    n1, n2 = len(rows1[0]), len(rows2[0])
+    n = n1 * n2
+    code = _row_code(n)
+
+    def high(row: Sequence[int]) -> int:
+        # row[b1] * n2 at every (b1, b2): one strided copy per b2
+        scaled = array(code, [h * n2 for h in row])
+        spread = array(code, [0]) * n
+        for b2 in range(n2):
+            spread[b2::n2] = scaled
+        return _row_int(spread, n)
+
+    lows = [_row_int(array(code, row) * n1, n) for row in rows2]
+    return _summed_rows([list(map(high, rows1)), lows], n)
+
+
 def _positions(row: Sequence[int], code: int) -> Iterator[int]:
     """Every position of code in a table row, ascending, each found in C:
     list.index on a list row, bytes.find on the bytes of an array row,
@@ -571,11 +595,21 @@ class _SquareRing(FiniteRing):
         return self.base._add_table, self.base._mul_table
 
     def _add_rows(self) -> Iterable:
-        if self.k == 1:  # entry (a, b) is the base's a + b
-            return self._base_tables()[0]
-        add = self.base.add
-        return self._slot_rows([(1, [(p, (0,), (p,))]) for p in range(len(self._slots))],
-                               lambda xs, ys: add(xs[0], ys[0]))
+        """The additive group is the base's to the power of the slot count m,
+        in the same mixed-radix order. So the table of m slots is the pair
+        table of its first m // 2 slots and the rest, each built the same
+        way from the base's add rows."""
+        base_rows = self._base_tables()[0]
+        powers = {1: base_rows}
+
+        def power(m: int) -> Sequence:
+            if m not in powers:
+                rows = _pair_rows(power(m // 2), power(m - m // 2))
+                powers[m] = [array(_row_code(len(base_rows) ** m), row) for row in rows]
+            return powers[m]
+
+        m = len(self._slots)
+        return base_rows if m == 1 else _pair_rows(power(m // 2), power(m - m // 2))
 
     def _neg_row(self) -> bytes:
         # one row, over b: a run of no slots of a
@@ -756,29 +790,11 @@ class ProductRing(FiniteRing):
         b1, b2 = self.decode(b)
         return self.encode((self.r1.mul(a1, b1), self.r2.mul(a2, b2)))
 
-    def _pair_rows(self, rows1: list[list[int]], rows2: list[list[int]]) -> Iterable[bytes]:
-        """Table rows from factor rows on positions, as _summed_rows gives
-        them: entry (b1, b2) of row (a1, a2) is rows1[a1][b1] * n2 +
-        rows2[a2][b2]."""
-        n, n1, n2 = self.size, len(self._elems1), len(self._elems2)
-        code = _row_code(n)
-
-        def high(row: list[int]) -> int:
-            # row[b1] * n2 at every (b1, b2): one strided copy per b2
-            scaled = array(code, [h * n2 for h in row])
-            spread = array(code, [0]) * n
-            for b2 in range(n2):
-                spread[b2::n2] = scaled
-            return _row_int(spread, n)
-
-        lows = [_row_int(row * n1, n) for row in rows2]
-        return _summed_rows([list(map(high, rows1)), lows], n)
-
     def _op_rows(self, op1: Callable[[int, int], int],
                  op2: Callable[[int, int], int]) -> Iterable[bytes]:
         e1, e2, pos1, pos2 = self._elems1, self._elems2, self._pos1, self._pos2
-        return self._pair_rows([[pos1[op1(x, y)] for y in e1] for x in e1],
-                               [[pos2[op2(x, y)] for y in e2] for x in e2])
+        return _pair_rows([[pos1[op1(x, y)] for y in e1] for x in e1],
+                          [[pos2[op2(x, y)] for y in e2] for x in e2])
 
     def _add_rows(self) -> Iterable[bytes]:
         return self._op_rows(self.r1.add, self.r2.add)
@@ -789,7 +805,7 @@ class ProductRing(FiniteRing):
     def _neg_row(self) -> bytes:
         row1 = [self._pos1[self.r1.neg(x)] for x in self._elems1]
         row2 = [self._pos2[self.r2.neg(x)] for x in self._elems2]
-        return next(self._pair_rows([row1], [row2]))
+        return next(_pair_rows([row1], [row2]))
 
     def inverse_of(self, x: int) -> Optional[int]:
         x1, x2 = self.decode(x)

@@ -10,9 +10,12 @@ import pytest
 
 import ringlab.regularity as regularity_mod
 from ringlab import (
+    CURATED_FAMILY,
     RegularityKind,
     build_ring,
     classify,
+    corner_ring,
+    idempotents,
     is_unit_regular_ring,
     one_sided_unit_regular_witness,
     regular_set,
@@ -120,6 +123,17 @@ def test_one_sided_collapses_to_two_sided_on_finite_carriers(rings):
                 u, v = left
                 assert ring.mul3(a, u, a) == a
                 assert ring.mul(v, u) == ring.one
+
+
+@pytest.mark.parametrize("spec", CURATED_FAMILY + ("M2(Z4)", "T2(Z8)"))
+def test_regular_collapses_to_unit_regular_on_rings_and_corners(rings, spec):
+    # classify skips the bare search; the full scan must agree with it
+    ring = rings(spec)
+    for carrier in (ring, *(corner_ring(ring, idem) for idem in idempotents(ring))):
+        unit_regular = set(unit_regular_set(carrier))
+        for a in carrier.elements():
+            if a not in unit_regular:
+                assert regular_witness(carrier, a) is None
 
 
 def test_one_sided_rejects_bad_side(rings):

@@ -256,8 +256,9 @@ def test_units_cached_and_ascending(rings):
 # bases whose tables break the ring laws, where any reasoning from those
 # laws would go wrong.
 
-TABLED = CURATED_FAMILY + ("M2(Z4)", "M3(Z2)", "T2(Z8)", "M2(Z2xZ2)", "T2(T2(Z2))",
-                           "Z2xT2(T2(Z2))", "T1(M2(Z2))", "M1(Z200)", "M1(Z300)")
+TABLED = CURATED_FAMILY + ("M2(Z4)", "M3(Z2)", "T3(Z2)", "T2(Z8)", "M2(Z2xZ2)",
+                           "T2(T2(Z2))", "Z2xT2(T2(Z2))", "T1(M2(Z2))", "M1(Z200)",
+                           "M1(Z300)")
 
 
 def _assert_tables_match_pairwise_build(ring):
@@ -274,6 +275,16 @@ def _assert_tables_match_pairwise_build(ring):
 @pytest.mark.parametrize("spec", TABLED)
 def test_tables_match_pairwise_build(spec):
     _assert_tables_match_pairwise_build(build_ring(spec))
+
+
+def test_largest_square_add_table_matches_raw_add():
+    # 1024 elements in 'H' rows, paired from two five-slot halves; the mul
+    # table's pairwise build would take too long here
+    ring = build_ring("T4(Z2)")
+    ring._fill_tables()
+    raw_add, codes = ring._raw_add, range(ring.size)
+    for a in codes:
+        assert list(ring._add_table[a]) == [raw_add(a, b) for b in codes], a
 
 
 def _law_breaking_z4():
