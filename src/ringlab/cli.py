@@ -9,6 +9,12 @@ Caps resolve flag first, then environment, then default: --size-cap and
 RINGLAB_SIZE_CAP bound carrier construction, --axiom-cap and
 RINGLAB_AXIOM_CAP bound the ring-axiom check inside verify-theorem and
 family.
+
+run_command keeps the rings it builds for the life of the process, in a
+least-recently-used cache keyed by the parsed description and bounded by
+RING_CACHE_BUDGET table entries (resolve_ring). The caps are checked on
+every request before the lookup. specparse.build_ring stays uncached and
+returns a fresh ring.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import argparse
 import os
 import sys
 import time
+from collections import OrderedDict
 from typing import Optional
 
 from .report import (
@@ -28,8 +35,20 @@ from .report import (
     verify_payload,
     witness_payload,
 )
-from .rings import DEFAULT_AXIOM_CAP, DEFAULT_SIZE_CAP, SizeCapError
-from .specparse import RingSpecError, build_ring
+from .rings import (
+    _TABLE_THRESHOLD,
+    DEFAULT_AXIOM_CAP,
+    DEFAULT_SIZE_CAP,
+    FiniteRing,
+    SizeCapError,
+)
+from .specparse import (
+    RingSpec,
+    RingSpecError,
+    _product_terms,
+    build_ring,
+    check_ring_spec,
+)
 from .theorem import PreconditionError
 
 EXIT_PASS = 0
@@ -111,6 +130,49 @@ def _resolve_cap(flag_value: Optional[int], env_name: str, default: int) -> int:
 _parser: Optional[argparse.ArgumentParser] = None
 
 
+# Rings built by earlier requests, least recently used first, keyed by the
+# parsed description, so respellings share an entry. A ring's memo holds
+# every sweep already run on it, and a repeated request reads it. The budget
+# is in table entries: the add and mul tables of the largest tabled carrier.
+# A ring weighs size**2, plus _TERM_WEIGHT per product term its matrix
+# constructors list (a tuple of two ints, about the bytes of 32 two-byte
+# entries), so matrices over the zero ring, of one element each, are weighed
+# too. A ring over the budget alone is never kept.
+RING_CACHE_BUDGET = 2 * _TABLE_THRESHOLD ** 2
+_TERM_WEIGHT = 32
+_rings: "OrderedDict[RingSpec, tuple[FiniteRing, int]]" = OrderedDict()
+_rings_weight = 0
+
+
+def resolve_ring(text: str, size_cap: int) -> FiniteRing:
+    """The ring of a description: cached, or built with build_ring and kept.
+
+    The description is parsed and checked against size_cap before the
+    lookup, so a cached ring is refused exactly as a cold one would be.
+    """
+    global _rings_weight
+    node = check_ring_spec(text, size_cap)
+    entry = _rings.pop(node, None)
+    if entry is not None:
+        _rings[node] = entry  # most recently used last
+        return entry[0]
+    ring = build_ring(node, size_cap)
+    weight = ring.size ** 2 + _TERM_WEIGHT * _product_terms(node)
+    if weight <= RING_CACHE_BUDGET:
+        _rings[node] = (ring, weight)
+        _rings_weight += weight
+        while _rings_weight > RING_CACHE_BUDGET:
+            _rings_weight -= _rings.popitem(last=False)[1][1]
+    return ring
+
+
+def clear_ring_cache() -> None:
+    """Drop every cached ring; the next request of each builds afresh."""
+    global _rings_weight
+    _rings.clear()
+    _rings_weight = 0
+
+
 def run_command(argv: list[str]) -> tuple[int, Optional[dict]]:
     global _parser
     if _parser is None:
@@ -133,11 +195,11 @@ def run_command(argv: list[str]) -> tuple[int, Optional[dict]]:
         size_cap = _resolve_cap(args.size_cap, ENV_SIZE_CAP, DEFAULT_SIZE_CAP)
         axiom_cap = _resolve_cap(args.axiom_cap, ENV_AXIOM_CAP, DEFAULT_AXIOM_CAP)
         if command == "classify":
-            ring = build_ring(args.ring, size_cap=size_cap)
+            ring = resolve_ring(args.ring, size_cap)
             ring_label = ring.spec_string
             payload, ok = classify_payload(ring)
         elif command == "verify-theorem":
-            ring = build_ring(args.ring, size_cap=size_cap)
+            ring = resolve_ring(args.ring, size_cap)
             ring_label = ring.spec_string
             if args.idempotent == "all":
                 idem_code = None
@@ -150,7 +212,7 @@ def run_command(argv: list[str]) -> tuple[int, Optional[dict]]:
                         f"got {args.idempotent!r}") from None
             payload, ok = verify_payload(ring, idem_code, axiom_cap=axiom_cap)
         elif command == "witness":
-            ring = build_ring(args.ring, size_cap=size_cap)
+            ring = resolve_ring(args.ring, size_cap)
             ring_label = ring.spec_string
             payload, ok = witness_payload(ring, args.e, args.a, args.b,
                                           args.u, args.v)
@@ -158,7 +220,7 @@ def run_command(argv: list[str]) -> tuple[int, Optional[dict]]:
             ring_label = "band"
             payload, ok = shift_payload(args.truncation)
         else:
-            payload, ok = family_payload(size_cap, axiom_cap, build_ring)
+            payload, ok = family_payload(size_cap, axiom_cap, resolve_ring)
     except SizeCapError as err:
         doc = finish("capped", {"cardinality": err.cardinality, "cap": err.cap,
                                 "message": str(err)})

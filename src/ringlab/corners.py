@@ -40,10 +40,18 @@ def complement(ring: FiniteRing, idem: Idempotent) -> Idempotent:
 
 
 def idempotents(ring: FiniteRing) -> tuple[Idempotent, ...]:
-    """All idempotents of the ring in ascending code order, memoised."""
-    return ring.cached("idempotents", lambda: tuple(
-        Idempotent(e, ring.sub(ring.one, e))
-        for e in ring.elements() if ring.mul(e, e) == e))
+    """All idempotents of the ring in ascending code order, memoised.
+
+    The sweep fills the ring's tables first if they are due: the corner
+    sweeps that follow need them anyway.
+    """
+    def sweep() -> tuple[Idempotent, ...]:
+        ring.fill_due_tables()
+        one, mul, sub = ring.one, ring.mul, ring.sub
+        return tuple(Idempotent(e, sub(one, e))
+                     for e in ring.elements() if mul(e, e) == e)
+
+    return ring.cached("idempotents", sweep)
 
 
 class CornerRing(FiniteRing):

@@ -146,7 +146,9 @@ class FiniteRing:
     _add_rows/_mul_rows/_neg_row after _fill_price * size**2 untabled ops:
     by then those ops have cost about what the fill costs, so a short
     request never pays for a fill, and a long one pays at most about twice
-    what the better of filling at once or never would have. The pairwise
+    what the better of filling at once or never would have. A sweep over
+    the whole carrier (units, idempotents) fills them at its start through
+    fill_due_tables, as it would run the countdown out anyway. The pairwise
     default of the row builders, through _raw_*, is the oracle that the
     structural overrides must equal entry by entry.
 
@@ -269,6 +271,17 @@ class FiniteRing:
         self._fill_tables()
         return True
 
+    def fill_due_tables(self) -> None:
+        """Fill the tables now if they are still due to fill at all.
+
+        A sweep over the whole carrier calls this first: it would run the
+        countdown out anyway, and every op before the fill would be untabled.
+        Corners and carriers that never fill have no countdown and stay as
+        they are.
+        """
+        if self._mul_table is None and self._fill_countdown:
+            self._fill_tables()
+
     def _fill_tables(self) -> None:
         """Fill all three tables now, whatever the countdown."""
         row = list if self.size <= _LIST_ROWS else partial(array, _row_code(self.size))
@@ -351,8 +364,7 @@ class FiniteRing:
         Treat the returned dict as read-only.
         """
         def sweep() -> dict[int, int]:
-            if self._mul_table is None and self._fill_countdown:
-                self._fill_tables()
+            self.fill_due_tables()
             t, one = self._mul_table, self.one
             if t is None:
                 return {x: v for x in self.elements()

@@ -223,15 +223,15 @@ def _log10_cardinality(node: RingSpec) -> float:
         return math.inf
 
 
-def build_ring(spec_or_text: Union[RingSpec, str],
-               size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
-    """Parse if needed, check the size cap on the tree, then build.
+def check_ring_spec(spec_or_text: Union[RingSpec, str],
+                    size_cap: int = DEFAULT_SIZE_CAP) -> RingSpec:
+    """Parse if needed and check the size cap on the tree; returns the tree.
 
     A carrier of 10 ** EXACT_CARDINALITY_DIGITS elements or more is refused
     from the float estimate alone, with cardinality None: its exact size
     would cost more to compute and print than the refusal is worth. A tree
     whose matrix constructors would list more product terms than the cap is
-    refused as well.
+    refused as well. Nothing is built.
     """
     node = (parse_ring_spec(spec_or_text)
             if isinstance(spec_or_text, str) else spec_or_text)
@@ -243,7 +243,13 @@ def build_ring(spec_or_text: Union[RingSpec, str],
         raise SizeCapError(cardinality, size_cap,
                            "matrix dimensions need more product terms (k^3 for Mk, "
                            f"k(k+1)(k+2)/6 for Tk) than cap {size_cap}")
-    return _build(node, size_cap)
+    return node
+
+
+def build_ring(spec_or_text: Union[RingSpec, str],
+               size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
+    """A fresh ring for a description, refused as check_ring_spec refuses."""
+    return _build(check_ring_spec(spec_or_text, size_cap), size_cap)
 
 
 def _product_terms(node: RingSpec) -> int:

@@ -1,5 +1,6 @@
 import pytest
 
+import ringlab.cli as cli_mod
 from ringlab import build_ring
 
 # Specs used by name across the suite; building each carrier once per
@@ -15,3 +16,12 @@ def rings():
         return _SPECS[spec]
 
     return get
+
+
+@pytest.fixture(autouse=True)
+def cold_ring_cache():
+    # run_command keeps the rings it built; each test starts and ends with
+    # none, so an injected build_ring or check_condition reaches a cold ring
+    cli_mod.clear_ring_cache()
+    yield
+    cli_mod.clear_ring_cache()

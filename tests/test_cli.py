@@ -5,19 +5,32 @@ document; one subprocess smoke test at the end proves the module entry point
 and console wiring actually exist.
 """
 
+import gc
 import json
+import random
 import subprocess
 import sys
 import time
+import weakref
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 import ringlab.cli as cli_mod
 import ringlab.theorem as theorem_mod
-from ringlab import TableRing, ZmodRing, payload_bytes
+from ringlab import (
+    CURATED_FAMILY,
+    DEFAULT_SIZE_CAP,
+    TableRing,
+    ZmodRing,
+    emit_report,
+    payload_bytes,
+)
 from ringlab.cli import EXIT_CAP, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main, run_command
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +257,129 @@ def test_size_cap_env_and_flag_priority(monkeypatch, schema):
     # explicit flag beats the environment
     code, doc = run_ok(["classify", "--ring", "Z12", "--size-cap", "128"], schema)
     assert code == EXIT_PASS
+
+
+# ring cache -------------------------------------------------------------------
+
+
+def counting_builds(monkeypatch):
+    """Patch cli.build_ring to count its calls; returns the list of specs built."""
+    built = []
+    real = cli_mod.build_ring
+
+    def counting(node, size_cap):
+        built.append(node)
+        return real(node, size_cap)
+
+    monkeypatch.setattr(cli_mod, "build_ring", counting)
+    return built
+
+
+def test_respelled_descriptions_share_one_ring(monkeypatch):
+    built = counting_builds(monkeypatch)
+    ring = cli_mod.resolve_ring("m2( z3)", DEFAULT_SIZE_CAP)
+    assert cli_mod.resolve_ring("M2(Z3)", DEFAULT_SIZE_CAP) is ring
+    assert cli_mod.resolve_ring(" ( M2 (Z3) ) ", DEFAULT_SIZE_CAP) is ring
+    assert len(built) == 1
+    # a different tree is a different ring, even where the carriers agree
+    assert cli_mod.resolve_ring("Z2x(Z3xZ4)", DEFAULT_SIZE_CAP) is not \
+        cli_mod.resolve_ring("Z2xZ3xZ4", DEFAULT_SIZE_CAP)
+
+
+def test_every_command_resolves_rings_through_the_cache(monkeypatch):
+    built = counting_builds(monkeypatch)
+    assert run_command(["family"])[0] == EXIT_PASS
+    assert len(built) == len(CURATED_FAMILY)
+    assert run_command(["family"])[0] == EXIT_PASS
+    assert run_command(["classify", "--ring", "m2(z2)"])[0] == EXIT_PASS
+    assert run_command(["verify-theorem", "--ring", "Z6", "--idempotent", "3"])[0] == EXIT_PASS
+    code, _ = run_command(["witness", "--ring", "Z6", "--e", "3", "--a", "3",
+                           "--b", "4", "--u", "1"])
+    assert code == EXIT_PASS
+    assert len(built) == len(CURATED_FAMILY)
+
+
+def test_cached_ring_is_refused_by_a_lower_size_cap_like_a_cold_one(schema):
+    argv = ["classify", "--ring", "M2(Z3)", "--size-cap", "80"]
+    cold = run_ok(argv, schema)
+    assert cold[0] == EXIT_CAP
+    assert run_command(["classify", "--ring", "M2(Z3)"])[0] == EXIT_PASS
+    warm = run_ok(argv, schema)
+    assert warm[0] == EXIT_CAP
+    assert payload_bytes(warm[1]) == payload_bytes(cold[1])
+    # product terms are checked before the lookup as well
+    cli_mod.resolve_ring("M5(Z1)", DEFAULT_SIZE_CAP)
+    code, doc = run_ok(["classify", "--ring", "M5(Z1)", "--size-cap", "100"], schema)
+    assert code == EXIT_CAP and "product terms" in doc["payload"]["message"]
+
+
+def test_least_recently_used_ring_is_evicted_and_freed():
+    budget = cli_mod.RING_CACHE_BUDGET
+    assert 1000 ** 2 + 1001 ** 2 <= budget < 1000 ** 2 + 1001 ** 2 + 400 ** 2
+    first = cli_mod.resolve_ring("Z1000", DEFAULT_SIZE_CAP)
+    second = weakref.ref(cli_mod.resolve_ring("Z1001", DEFAULT_SIZE_CAP))
+    assert cli_mod.resolve_ring("Z1000", DEFAULT_SIZE_CAP) is first  # now the most recent
+    third = cli_mod.resolve_ring("Z400", DEFAULT_SIZE_CAP)
+    gc.collect()
+    assert second() is None
+    assert cli_mod.resolve_ring("Z1000", DEFAULT_SIZE_CAP) is first
+    assert cli_mod.resolve_ring("Z400", DEFAULT_SIZE_CAP) is third
+
+
+@pytest.mark.parametrize("spec", [
+    "Z1449",  # 1449 ** 2 is over the budget
+    "M41(Z1)",  # one element, but 41 ** 3 product terms of weight 32 each
+])
+def test_ring_over_the_budget_is_never_kept(spec):
+    kept = cli_mod.resolve_ring("Z4", DEFAULT_SIZE_CAP)
+    big = cli_mod.resolve_ring(spec, DEFAULT_SIZE_CAP)
+    ref = weakref.ref(big)
+    assert cli_mod.resolve_ring(spec, DEFAULT_SIZE_CAP) is not big
+    del big
+    gc.collect()
+    assert ref() is None
+    assert cli_mod.resolve_ring("Z4", DEFAULT_SIZE_CAP) is kept
+
+
+def _scramble(node):
+    """Overwrite every container reachable from node in place."""
+    if isinstance(node, dict):
+        for value in node.values():
+            _scramble(value)
+        for key in node:
+            node[key] = "scrambled"
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            _scramble(value)
+        if isinstance(node, list):
+            node[:] = ["scrambled"]
+
+
+def _answer(argv):
+    """Exit code and JSON bytes of a request, its timing zeroed; the
+    document is scrambled afterwards, so no later answer may share it."""
+    code, doc = run_command(argv)
+    if doc is None:
+        return code, None
+    doc["timing_ms"] = 0
+    text = emit_report(doc, "json")
+    _scramble(doc)
+    return code, text
+
+
+def test_warm_rings_answer_every_reference_request_as_cold_ones():
+    requests = sorted(json.loads(REFERENCE.read_text())["requests"].items())
+    cold = {}
+    for name, entry in requests:
+        cli_mod.clear_ring_cache()
+        cold[name] = _answer(list(entry["argv"]) + ["--json"])
+        assert cold[name][0] == entry["exit"], name
+    cli_mod.clear_ring_cache()
+    for name, entry in requests:
+        assert _answer(list(entry["argv"]) + ["--json"]) == cold[name], name
+    random.Random(12).shuffle(requests)
+    for name, entry in requests:
+        assert _answer(list(entry["argv"]) + ["--json"]) == cold[name], name
 
 
 def timed_run(argv):

@@ -53,6 +53,16 @@ def test_idempotents_sorted_and_cached(rings):
     assert idempotents(ring) is idems
 
 
+def test_idempotent_sweep_fills_the_tables_first():
+    ring = build_ring("M2(Z4)")
+    assert ring._mul_table is None
+    idems = idempotents(ring)
+    assert ring._mul_table is not None
+    # the untabled products are the oracle of the tabled sweep
+    assert [i.e for i in idems] == [e for e in ring.elements() if ring._raw_mul(e, e) == e]
+    assert all(i.f == ring._raw_add(ring.one, ring._raw_neg(i.e)) for i in idems)
+
+
 def test_idempotent_complements(rings):
     ring = rings("Z6")
     idem = as_idempotent(ring, 3)

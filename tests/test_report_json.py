@@ -231,16 +231,21 @@ def _broken_z4(text, size_cap):
     return TableRing.from_ring(ZmodRing(4), override_mul={(3, 3): 0}, label="Z4")
 
 
+# descriptions are parsed before any ring is built, so the request names a
+# parseable ring and the injected build_ring hands back a broken one
+_BROKEN = ["verify-theorem", "--ring", "Z4"]
+
+
 @pytest.mark.parametrize("argv, code, status", [
     (["family"], EXIT_PASS, "pass"),
     (["verify-theorem", "--ring", "T2(Z3)"], EXIT_PASS, "pass"),
-    (["verify-theorem", "--ring", "broken"], EXIT_FAIL, "fail"),
+    (_BROKEN, EXIT_FAIL, "fail"),
     (["classify", "--ring", "M40(M40(Z40))"], EXIT_CAP, "capped"),
     (["witness", "--ring", "Z6", "--e", "3", "--a", "3", "--b", "4", "--u", "3"],
      EXIT_FAIL, "fail"),
 ], ids=["family", "pass", "fail", "capped", "precondition"])
 def test_each_exit_status_emits_the_oracle_bytes(monkeypatch, argv, code, status):
-    if argv[-1] == "broken":  # a ring whose axiom check fails
+    if argv is _BROKEN:  # a ring whose axiom check fails
         monkeypatch.setattr(cli_mod, "build_ring", _broken_z4)
     got_code, doc = run_command(argv + ["--json"])
     assert (got_code, doc["status"]) == (code, status)
