@@ -25,10 +25,9 @@ from typing import Callable, Iterable, Mapping
 from .rings import SizeCapError
 from .theorem import _mat2_mul, build_m2_scaffold
 
-# Largest truncation run_shift_demo accepts. The rank evidence takes one
-# GF(2) rank per truncation size from 2 to n, so its cost grows faster than
-# n^2; this bound keeps a request to seconds (4096 took about 15 s and 2048
-# about 3 s with Python 3.11 on a shared 2-vCPU x86_64 host).
+# Largest truncation run_shift_demo accepts. The rank evidence is one
+# incremental GF(2) elimination, linear in the truncation, so the cap
+# bounds the document: about 356 KB of JSON at 4096.
 MAX_TRUNCATION = 4096
 
 
@@ -191,24 +190,10 @@ def _canonical(offsets: Iterable[int], bound: int,
     return BandOperator(diagonals=diag_tuple, exceptions=tuple(excs))
 
 
-def _gf2_rank(rows: Iterable[int]) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        cur = row
-        while cur:
-            msb = cur.bit_length() - 1
-            if msb in pivots:
-                cur ^= pivots[msb]
-            else:
-                pivots[msb] = cur
-                rank += 1
-                break
-    return rank
-
-
-def truncation_dims(op: BandOperator, n: int) -> tuple[int, int]:
-    """Kernel and cokernel dimensions of the restriction to span(e_0..e_n).
+def truncation_series(op: BandOperator, n: int) -> list[tuple[int, int]]:
+    """Kernel and cokernel dimensions of the restriction to span(e_0..e_k),
+    for k = 0..n, from one GF(2) elimination: column k does not depend on
+    the truncation, so truncation k is truncation k-1 plus one column.
 
     The codomain is padded to cover every hit target and at least the
     domain, so an injective-but-not-surjective operator shows up as kernel 0
@@ -217,11 +202,26 @@ def truncation_dims(op: BandOperator, n: int) -> tuple[int, int]:
     """
     if n < 0:
         raise ValueError(f"truncation size must be >= 0, got {n}")
-    cols = [op.column(i) for i in range(n + 1)]
-    max_target = max((max(c) for c in cols if c), default=-1)
-    codomain_dim = max(n + 1, max_target + 1)
-    rank = _gf2_rank(sum(1 << j for j in c) for c in cols)
-    return (n + 1 - rank, codomain_dim - rank)
+    pivots: dict[int, int] = {}
+    max_target = -1
+    series = []
+    for k in range(n + 1):
+        col = op.column(k)
+        if col:
+            max_target = max(max_target, max(col))
+        cur = sum(1 << j for j in col)
+        while cur and (msb := cur.bit_length() - 1) in pivots:
+            cur ^= pivots[msb]
+        if cur:
+            pivots[msb] = cur
+        rank = len(pivots)
+        series.append((k + 1 - rank, max(k + 1, max_target + 1) - rank))
+    return series
+
+
+def truncation_dims(op: BandOperator, n: int) -> tuple[int, int]:
+    """Kernel and cokernel dimensions at span(e_0..e_n): truncation_series(op, n)[n]."""
+    return truncation_series(op, n)[n]
 
 
 class BandRing:
@@ -281,14 +281,11 @@ def run_shift_demo(truncation: int = 8) -> dict:
     a = (s, ring.zero, ring.zero, ring.zero)
     corner_form_ok = _mat2_mul(ring, _mat2_mul(ring, e, a), e) == a
 
-    truncations = []
-    kernel_dims = set()
-    cokernel_dims = set()
-    for n in range(2, truncation + 1):
-        ker, coker = truncation_dims(s, n)
-        truncations.append({"n": n, "kernel_dim": ker, "cokernel_dim": coker})
-        kernel_dims.add(ker)
-        cokernel_dims.add(coker)
+    series = truncation_series(s, truncation)[2:]
+    truncations = [{"n": n, "kernel_dim": ker, "cokernel_dim": coker}
+                   for n, (ker, coker) in enumerate(series, start=2)]
+    kernel_dims = {ker for ker, _ in series}
+    cokernel_dims = {coker for _, coker in series}
     stable = len(kernel_dims) == 1 and len(cokernel_dims) == 1
     kernel_dim = kernel_dims.pop() if stable else None
     cokernel_dim = cokernel_dims.pop() if stable else None

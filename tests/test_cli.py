@@ -448,6 +448,17 @@ def test_oversized_truncation_is_capped_in_bounded_time(capsys, schema):
     assert "status: capped" in capsys.readouterr().out
 
 
+def test_truncation_at_the_cap_runs_in_bounded_time(schema):
+    code, doc, elapsed = timed_run(["shift-demo", "--truncation", "4096", "--json"])
+    assert code == EXIT_PASS and elapsed < 2.0
+    jsonschema.validate(doc, schema)
+    payload = doc["payload"]
+    assert payload["ok"] is True
+    assert len(payload["truncations"]) == 4095
+    assert all(row["kernel_dim"] == 0 and row["cokernel_dim"] == 1
+               for row in payload["truncations"])
+
+
 def test_invalid_cap_env_is_a_usage_error(monkeypatch):
     monkeypatch.setenv("RINGLAB_SIZE_CAP", "banana")
     assert run_command(["classify", "--ring", "Z4"]) == (EXIT_USAGE, None)

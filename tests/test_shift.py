@@ -3,14 +3,21 @@
 The independent oracle for composition is the column calculus itself:
 (x*y) applied to e_i must equal the XOR of x over the columns y hits. The
 ring-law sweep runs the laws on a seeded random sample of operators, since
-the canonical form is where the bugs would live.
+the canonical form is where the bugs would live. The oracle for the
+incremental truncation ranks is a separate elimination per truncation size.
 """
 
 import random
 
 import pytest
 
-from ringlab import BandOperator, BandRing, run_shift_demo, truncation_dims
+from ringlab import (
+    BandOperator,
+    BandRing,
+    run_shift_demo,
+    truncation_dims,
+    truncation_series,
+)
 
 S = BandOperator.right_shift()
 T = BandOperator.left_shift()
@@ -165,6 +172,45 @@ def test_truncations_of_reference_operators():
     assert truncation_dims(S, 0) == (0, 1)
     with pytest.raises(ValueError):
         truncation_dims(S, -1)
+    with pytest.raises(ValueError):
+        truncation_series(S, -1)
+
+
+def per_size_dims(op, n):
+    """Kernel and cokernel dimensions from a rank of columns 0..n alone,
+    with the codomain padded to every hit target and at least the domain."""
+    cols = [op.column(i) for i in range(n + 1)]
+    basis = []
+    for col in cols:
+        row = sum(1 << j for j in col)
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+    codomain = max([n + 1] + [t + 1 for col in cols for t in col])
+    return (n + 1 - len(basis), codomain - len(basis))
+
+
+def test_series_matches_per_size_elimination():
+    rng = random.Random(20261018)
+
+    def random_op():
+        offsets = rng.sample(range(-4, 5), rng.randint(0, 4))
+        diagonals = [(d, rng.randint(0, 6)) for d in offsets]
+        exceptions = {rng.randint(0, 12): {rng.randint(0, 20)
+                                           for _ in range(rng.randint(0, 3))}
+                      for _ in range(rng.randint(0, 3))}
+        return BandOperator.from_parts(diagonals, exceptions)
+
+    base = [random_op() for _ in range(16)]
+    ops = base + [S, T, ONE, ZERO, P0, S * T]
+    ops += [x + y for x in base[:6] for y in base[6:12]]
+    ops += [x * y for x in base[:6] for y in base[6:12]]
+    for op in ops:
+        expect = [per_size_dims(op, n) for n in range(41)]
+        assert truncation_series(op, 40) == expect, op
+        for n in range(41):
+            assert truncation_dims(op, n) == expect[n], (op, n)
 
 
 # the ring adapter and the demo ----------------------------------------------------
