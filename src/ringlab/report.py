@@ -28,9 +28,10 @@ from .rings import DEFAULT_AXIOM_CAP, FiniteRing, check_ring_axioms
 from .theorem import (
     CONDITION_LABELS,
     InconsistencyError,
+    corner_verdicts,
     extract_corner_witness,
     PreconditionError,
-    verify_equivalences,
+    require_consistent,
     verify_ur_inheritance,
 )
 from .shift import run_shift_demo
@@ -145,15 +146,16 @@ def verify_payload(ring: FiniteRing, idempotent_code: Optional[int] = None,
     blocks = []
     try:
         for idem in idems:
-            # strict sweep: any disagreement raises, so each block is consistent
-            reports = verify_equivalences(ring, idem)
+            rows = corner_verdicts(ring, idem)
+            # strict check: any disagreement raises, so each block is consistent
+            require_consistent(ring, idem, rows)
             blocks.append({
                 "e": idem.e,
                 "f": idem.f,
-                "corner_size": len(reports),
+                "corner_size": len(rows),
                 "all_consistent": True,
-                "per_element": [{"a": r.a, "conditions": dict(r.conditions)}
-                                for r in reports],
+                "per_element": [{"a": a, "conditions": dict(zip(CONDITION_LABELS, row))}
+                                for a, row in rows.items()],
             })
     except InconsistencyError as err:
         payload["verdicts"] = None

@@ -165,7 +165,8 @@ class FiniteRing:
     candidate, in the order given, whose product is a target, and
     sandwiches yields every product lazily. Each reads the rows of the mul
     table when one is filled (a corner reads its ambient ring's) and calls
-    the bound mul otherwise, so the choice lives here alone.
+    the bound mul otherwise, so the choice lives here alone. sums is the
+    one kernel of addition and reads the ring's own add table the same way.
 
     Derived sweeps live in one per-instance memo, filled through cached(),
     so they are freed with the ring.
@@ -318,6 +319,24 @@ class FiniteRing:
         row = t[a]
         return (t[row[x]][b] for x in xs)
 
+    def sums(self, xs: Iterable[int]) -> Callable[[int], Sequence[int]]:
+        """The map a -> (a + x for each x of xs, in order), as add computes it.
+
+        With the ring's own add table filled, each call takes its sums from
+        row a in C, through one itemgetter built here for every a; otherwise
+        (a corner included) it calls add per x. Unlike units(), it never
+        fills the tables first.
+        """
+        xs = tuple(xs)
+        t = self._add_table
+        if t is None:
+            add = self.add
+            return lambda a: [add(a, x) for x in xs]
+        if len(xs) < 2:  # itemgetter of one index returns a bare entry
+            return lambda a: [t[a][x] for x in xs]
+        take = itemgetter(*xs)
+        return lambda a: take(t[a])
+
     def find_left(self, a: int, xs: Iterable[int], target: int) -> Optional[int]:
         """The first x of xs with a*x == target, or None."""
         t = self._kernel_table()
@@ -426,9 +445,13 @@ class ZmodRing(FiniteRing):
         codes = array(_row_code(n), range(n)) * 2
         return (codes[a:a + n] for a in range(n))  # a + b rotates 0..n-1
 
-    def _mul_rows(self) -> Iterable[list[int]]:
+    def _mul_rows(self) -> Iterable[array]:
         n = self.n
-        return ([a * b % n for b in range(n)] for a in range(n))
+        zeros = array(_row_code(n), (0,)) * n
+        # row a holds a * b % n = residues[a * b] for b in 0..n-1: a slice
+        # with stride a, copied in C
+        residues = array(_row_code(n), range(n)) * n
+        return (residues[0:a * n:a] if a else zeros for a in range(n))
 
     def _neg_row(self) -> list[int]:
         n = self.n

@@ -20,9 +20,18 @@ implication chain. Every condition reads the same per-ring memo of witness
 searches, so a broken search would break them alike; tests/test_memo.py
 catches that by comparing the memo with plain scans on the curated family.
 What the conditions at one idempotent share, its two corners and the
-candidates b of each sweep, is built once per ring and idempotent (_Sweeps),
-and the sweeps read the memo of unit-regular witnesses directly, calling the
-search only for a sum not yet in it.
+candidates b of each sweep, is built once per ring and idempotent (_Sweeps).
+
+The engine comes in two forms that give the same values. verify-theorem and
+family read corner_verdicts, which decides all seven conditions for every a
+of a corner at once from the unit-regular elements of R and of eRe read as
+sets, takes the sums a + b from one add-table row per a, and keeps the rows
+on _Sweeps; require_consistent is its strict check, and decides one
+element per corner again through theorem_verdict. theorem_verdict,
+verify_equivalences and check_condition are the per-element API: they also
+return a witness for each condition, read the memo of unit-regular
+witnesses directly, calling the search only for a sum not yet in it, and
+are the tests' oracle of the sweep.
 
 Witness recovery goes the other way: from a unit-regularity equation for
 a + b in R it rebuilds a corner witness u' = e(u - u*b*u)e, v' = e*v*e and
@@ -33,6 +42,7 @@ subset that the hypotheses in force actually guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Iterator, Optional
 
 from .corners import Idempotent, as_idempotent, complement, corner_ring, idempotents
@@ -85,7 +95,8 @@ class _Sweeps:
     """What the conditions read at one idempotent e: the corners eRe and fRf,
     the memo of unit-regular witnesses in R, and the candidates b of the
     sweeps of conditions 3 through 5: the units of fRf for 3 and 3', its
-    unit-regular elements for 4 and 4', and its non zero divisors for 5."""
+    unit-regular elements for 4 and 4', and its non zero divisors for 5;
+    and the rows of corner_verdicts once they are found."""
 
     def __init__(self, ring: FiniteRing, idem: Idempotent) -> None:
         self.idem = idem
@@ -97,6 +108,7 @@ class _Sweeps:
         self._fixed = {"3": units, "3'": units, "4": unit_regular, "4'": unit_regular}
         self._clear: list[int] = []
         self._unread = (b for b in ff.elements() if zero_divisor_status(ff, b).clear)
+        self.rows: Optional[dict[int, tuple[bool, ...]]] = None
 
     def candidates(self, label: str) -> Iterable[int]:
         return self._non_zero_divisors() if label == "5" else self._fixed[label]
@@ -171,6 +183,47 @@ def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
     return (True, {"checked": checked}) if universal else (False, None)
 
 
+def corner_verdicts(ring: FiniteRing,
+                    idem: Idempotent) -> dict[int, tuple[bool, ...]]:
+    """Every condition on every a of eRe: a -> the seven values in
+    CONDITION_LABELS order, a ascending; memoised per ring and idempotent,
+    so treat the dict as read-only.
+
+    Row a holds check_condition(ring, idem, a, label)[0] for each label,
+    with the searches read as sets: 1 asks whether a is among the
+    unit-regular elements of eRe, 2 whether a + f is among those of R. 3
+    and 4 ask whether R's set holds every sum a + b over their candidates
+    b, read off one add-table row per a; 3' and 4' ask whether it holds
+    one. 5 scans the non zero divisors of fRf lazily, as check_condition
+    does, up to the first b with a + b in R's set.
+    """
+    sweeps = _sweeps(ring, idem)
+    if sweeps.rows is None:
+        sweeps.rows = _corner_rows(ring, sweeps)
+    return sweeps.rows
+
+
+def _corner_rows(ring: FiniteRing, sweeps: _Sweeps) -> dict[int, tuple[bool, ...]]:
+    ur = frozenset(unit_regular_set(ring))
+    corner_ur = frozenset(unit_regular_set(sweeps.ee))
+    f, add = sweeps.idem.f, ring.add
+    with_units = ring.sums(sweeps.candidates("3"))
+    with_unit_regular = ring.sums(sweeps.candidates("4"))
+    rows = {}
+    for a in sweeps.ee.elements():
+        by_units, by_unit_regular = with_units(a), with_unit_regular(a)
+        rows[a] = (
+            a in corner_ur,
+            add(a, f) in ur,
+            ur.issuperset(by_units),
+            not ur.isdisjoint(by_units),
+            ur.issuperset(by_unit_regular),
+            not ur.isdisjoint(by_unit_regular),
+            any(add(a, b) in ur for b in sweeps.candidates("5")),
+        )
+    return rows
+
+
 @dataclass
 class VerdictReport:
     """All condition values for one corner element, plus agreement status."""
@@ -203,6 +256,11 @@ def theorem_verdict(ring: FiniteRing, idem: Idempotent, a: int) -> VerdictReport
         holds, witness = check_condition(ring, idem, a, label)
         conditions[label] = holds
         witnesses[label] = witness
+    return _verdict(ring, idem, a, conditions, witnesses)
+
+
+def _verdict(ring: FiniteRing, idem: Idempotent, a: int, conditions: dict[str, bool],
+             witnesses: dict[str, Optional[dict]]) -> VerdictReport:
     agreed = {conditions[label] for label in EQUIVALENCE_LABELS}
     return VerdictReport(
         ring=ring.spec_string, e=idem.e, f=idem.f, a=a,
@@ -211,8 +269,50 @@ def theorem_verdict(ring: FiniteRing, idem: Idempotent, a: int) -> VerdictReport
 
 
 def implication_violations(report: VerdictReport) -> list[tuple[str, str]]:
-    return [(p, q) for p, q in CHAIN_IMPLICATIONS
-            if report.conditions[p] and not report.conditions[q]]
+    return _violations(report.conditions)
+
+
+def _violations(conditions: dict[str, bool]) -> list[tuple[str, str]]:
+    return [(p, q) for p, q in CHAIN_IMPLICATIONS if conditions[p] and not conditions[q]]
+
+
+def _sound(conditions: dict[str, bool]) -> bool:
+    """The strict check: the equivalent conditions agree, no implication fails."""
+    return (len({conditions[label] for label in EQUIVALENCE_LABELS}) == 1
+            and not _violations(conditions))
+
+
+# Every row of seven values that passes the strict check.
+_SOUND_ROWS = frozenset(
+    row for row in product((False, True), repeat=len(CONDITION_LABELS))
+    if _sound(dict(zip(CONDITION_LABELS, row))))
+
+
+def require_consistent(ring: FiniteRing, idem: Idempotent,
+                       rows: dict[int, tuple[bool, ...]]) -> None:
+    """The strict check of verify_equivalences on rows of corner_verdicts,
+    and a cross-check of the sweep against the per-element engine.
+
+    The first row whose equivalent conditions disagree, or whose one-way
+    implications fail, raises InconsistencyError with the bundle of that
+    element: the row's conditions, and check_condition's witnesses. Then
+    theorem_verdict decides the corner's last element again; a row that
+    differs from it is a fault of the sweep, not of the theorem, and raises
+    RuntimeError.
+    """
+    bad = next(((a, row) for a, row in rows.items() if row not in _SOUND_ROWS), None)
+    if bad is not None:
+        a, row = bad
+        witnesses = {label: check_condition(ring, idem, a, label)[1]
+                     for label in CONDITION_LABELS}
+        conditions = dict(zip(CONDITION_LABELS, row))
+        raise InconsistencyError(_verdict(ring, idem, a, conditions, witnesses).to_dict())
+    a = next(reversed(rows))
+    decided = theorem_verdict(ring, idem, a).conditions
+    if rows[a] != tuple(decided[label] for label in CONDITION_LABELS):
+        raise RuntimeError(f"corner sweep and theorem_verdict disagree on "
+                           f"{ring.spec_string} at e={idem.e}, a={a}: "
+                           f"{rows[a]} against {decided}")
 
 
 def verify_equivalences(ring: FiniteRing, idem: Idempotent,
@@ -227,7 +327,7 @@ def verify_equivalences(ring: FiniteRing, idem: Idempotent,
     reports = []
     for a in ee.elements():
         report = theorem_verdict(ring, idem, a)
-        if strict and (not report.consistent or implication_violations(report)):
+        if strict and not _sound(report.conditions):
             raise InconsistencyError(report.to_dict())
         reports.append(report)
     return reports

@@ -19,6 +19,7 @@ import jsonschema
 import pytest
 
 import ringlab.cli as cli_mod
+import ringlab.report as report_mod
 import ringlab.theorem as theorem_mod
 from ringlab import (
     CURATED_FAMILY,
@@ -163,15 +164,18 @@ def test_injected_axiom_failure_fails_verify(monkeypatch, schema):
 
 
 def test_injected_inconsistency_fails_verify(monkeypatch, schema):
-    real = theorem_mod.check_condition
+    real = report_mod.corner_verdicts
+    five = theorem_mod.CONDITION_LABELS.index("5")
 
-    def rigged(ring, idem, a, label):
-        holds, witness = real(ring, idem, a, label)
-        if label == "5" and a == 3:
-            return (not holds, None)
-        return holds, witness
+    def rigged(ring, idem):
+        # a copy: the real rows are memoised on the ring the CLI keeps
+        rows = dict(real(ring, idem))
+        if 3 in rows:
+            row = rows[3]
+            rows[3] = row[:five] + (not row[five],) + row[five + 1:]
+        return rows
 
-    monkeypatch.setattr(theorem_mod, "check_condition", rigged)
+    monkeypatch.setattr(report_mod, "corner_verdicts", rigged)
     code, doc = run_ok(["verify-theorem", "--ring", "Z6"], schema)
     assert code == EXIT_FAIL
     bundle = doc["payload"]["inconsistency"]

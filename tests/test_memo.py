@@ -96,6 +96,22 @@ def test_memo_matches_plain_scans_on_array_rows(spec, typecode):
         assert_memo_matches_scans(corner)
 
 
+@pytest.mark.parametrize("spec, fill", [("Z6", True), ("M2(Z4)", True), ("T2(Z8)", True),
+                                        ("Z210", False)])
+def test_sums_kernel_matches_add(spec, fill):
+    # list, 'B' and 'H' add rows and an untabled ring; zero, one and many
+    # summands
+    ring = build_ring(spec)
+    if fill:
+        ring._fill_tables()
+    assert (ring._add_table is not None) == fill
+    codes = tuple(ring.elements())
+    for xs in ((), (ring.one,), codes[::7], codes):
+        sums = ring.sums(xs)
+        for a in codes[::5]:
+            assert list(sums(a)) == [ring.add(a, x) for x in xs], (spec, a, len(xs))
+
+
 def test_row_search_counts_a_match_only_at_a_whole_entry():
     # tables as check_ring_axioms leaves them; row 2 of Z300 holds 298, 0 at
     # positions 149, 150, whose bytes hold those of 1 at odd offset 299

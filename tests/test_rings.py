@@ -345,6 +345,14 @@ def test_residue_rings_table_when_small_and_never_when_large():
     assert _untabled(large)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 256, 257, 1000])
+def test_residue_mul_rows_match_the_pairwise_build(n):
+    # strided slices of one array of residues, in 'B' rows up to 256
+    # elements and 'H' rows above
+    ring = ZmodRing(n)
+    assert [list(row) for row in ring._mul_rows()] == list(FiniteRing._mul_rows(ring))
+
+
 def test_short_request_fills_nothing_and_a_sweep_fills():
     # corner witness at e = 1: about 2n ops, below every fill budget, against
     # fills of 0.1-1 s

@@ -12,6 +12,7 @@ import pytest
 
 import ringlab.theorem as theorem_mod
 from ringlab import (
+    CURATED_FAMILY,
     BandOperator,
     BandRing,
     CHAIN_IMPLICATIONS,
@@ -24,9 +25,11 @@ from ringlab import (
     as_idempotent,
     build_m2_scaffold,
     build_ring,
+    TableRing,
     check_condition,
     complement,
     corner_ring,
+    corner_verdicts,
     extract_corner_witness,
     extract_one_sided_corner_witness,
     idempotents,
@@ -185,6 +188,80 @@ def test_forged_complement_is_refused_after_the_corner_was_swept(rings):
     assert check_condition(ring, idem, 3, "5")[0]
     with pytest.raises(ValueError, match="complement"):
         check_condition(ring, Idempotent(e=3, f=1), 3, "5")
+
+
+# the corner sweep against the per-element engine --------------------------------
+
+
+def _broken_z6():
+    # breaks the ring laws, so the conditions part ways: 3 and 3' differ on
+    # some element, as do 2 and "a is unit regular in R". On a lawful ring
+    # each pair agrees, so only a table like this one tells them apart.
+    return TableRing.from_ring(build_ring("Z6"), override_mul={(2, 5): 5},
+                               label="brokenZ6")
+
+
+@pytest.mark.parametrize("spec", CURATED_FAMILY + ("M2(Z4)", "T2(Z8)", "Z210", "brokenZ6"))
+def test_corner_sweep_matches_check_condition(spec):
+    # every row against the per-element engine on a ring of its own, so no
+    # memo is shared between the two
+    build = _broken_z6 if spec == "brokenZ6" else lambda: build_ring(spec)
+    ring, oracle = build(), build()
+    for idem in idempotents(ring):
+        rows = corner_verdicts(ring, idem)
+        assert list(rows) == list(corner_ring(ring, idem).elements())
+        for a, row in rows.items():
+            assert row == tuple(check_condition(oracle, idem, a, label)[0]
+                                for label in CONDITION_LABELS), (idem.e, a)
+        assert corner_verdicts(ring, idem) is rows  # memoised
+
+
+def test_the_broken_table_parts_the_conditions_the_sweep_reads_as_sets():
+    ring = _broken_z6()
+    ur = set(unit_regular_set(ring))
+    rows = [(a, dict(zip(CONDITION_LABELS, row)))
+            for idem in idempotents(ring)
+            for a, row in corner_verdicts(ring, idem).items()]
+    assert any(row["3"] != row["3'"] for _, row in rows)
+    assert any(row["2"] != (a in ur) for a, row in rows)
+
+
+def test_corner_sweep_on_a_large_residue_ring_fills_no_table():
+    ring = build_ring("Z210")  # above 128 elements: residue ops, no tables
+    for idem in idempotents(ring):
+        corner_verdicts(ring, idem)
+    assert (ring._add_table, ring._mul_table, ring._neg_table) == (None, None, None)
+
+
+def test_strict_check_of_the_sweep_raises_the_per_element_bundle():
+    # the first row that fails gives the bundle verify_equivalences raises
+    def bundle(check, *args):
+        try:
+            check(*args)
+        except InconsistencyError as err:
+            return err.bundle
+        return None
+
+    bundles = []
+    for ring, oracle in ((_broken_z6(), _broken_z6()), (build_ring("Z6"), build_ring("Z6"))):
+        for idem in idempotents(ring):
+            swept = bundle(theorem_mod.require_consistent, ring, idem,
+                           corner_verdicts(ring, idem))
+            assert swept == bundle(verify_equivalences, oracle, idem), idem
+            bundles.append(swept)
+    assert any(bundles) and not all(bundles)
+
+
+def test_strict_check_cross_checks_the_last_row_against_theorem_verdict():
+    ring = build_ring("Z6")
+    idem = as_idempotent(ring, 1)
+    rows = dict(corner_verdicts(ring, idem))
+    theorem_mod.require_consistent(ring, idem, rows)
+    # a sound row that theorem_verdict does not give: a sweep fault
+    last = max(rows)
+    rows[last] = tuple(not holds for holds in rows[last])
+    with pytest.raises(RuntimeError, match="theorem_verdict disagree"):
+        theorem_mod.require_consistent(ring, idem, rows)
 
 
 # rigged disagreement paths ----------------------------------------------------
