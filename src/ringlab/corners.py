@@ -42,11 +42,11 @@ def complement(ring: FiniteRing, idem: Idempotent) -> Idempotent:
 def idempotents(ring: FiniteRing) -> tuple[Idempotent, ...]:
     """All idempotents of the ring in ascending code order, memoised.
 
-    The sweep fills the ring's tables first if they are due: the corner
-    sweeps that follow need them anyway.
+    The sweep tabulates the ring first: it and the corner sweeps that
+    follow read the tables.
     """
     def sweep() -> tuple[Idempotent, ...]:
-        ring.fill_due_tables()
+        ring.tabulate()
         one, mul, sub = ring.one, ring.mul, ring.sub
         return tuple(Idempotent(e, sub(one, e))
                      for e in ring.elements() if mul(e, e) == e)
@@ -61,7 +61,8 @@ class CornerRing(FiniteRing):
     ambient zero. Arithmetic delegates to the ambient ring, so corner codes
     are ambient codes and no re-encoding is ever needed, and the kernels
     read the ambient ring's mul table. A corner holds no tables of its own
-    and never counts down to a fill: its ops are the ambient ring's.
+    and never fills any, as its carrier is not dense: its ops are the
+    ambient ring's.
     """
 
     def __init__(self, ambient: FiniteRing, idem: Idempotent) -> None:
@@ -73,7 +74,6 @@ class CornerRing(FiniteRing):
         self._carrier_set = frozenset(carrier)
         super().__init__(size=len(carrier), one=e,
                          commutative=ambient.is_commutative)
-        self._fill_countdown = 0
 
     def elements(self) -> Sequence[int]:
         return self._carrier

@@ -4,10 +4,11 @@ Carriers built here are dense: codes run 0..size-1 and code 0 is always the
 zero element. Constructions compose freely: integers mod n, full and
 upper-triangular matrix rings over any base, direct products, and raw Cayley
 tables. A carrier of at most _TABLE_THRESHOLD elements fills its Cayley
-tables once its untabled operations have cost about what the fill costs,
-built structurally from the tables of its parts and stored as compact array
-rows above _LIST_ROWS elements; a larger one evaluates structurally per
-call. Arithmetic is fixed at construction; derived sweeps (units,
+tables when a sweep over it begins (FiniteRing.tabulate), and a part of at
+most _LIST_ROWS elements when the ring built on it is; the tables are built
+structurally from the tables of the parts and stored as compact array rows
+above _LIST_ROWS elements. Any other op evaluates structurally per call.
+Arithmetic is fixed at construction; derived sweeps (units,
 idempotents, corners, regularity witnesses) are memoised lazily on
 the instance and freed with it. Every derived sweep is deterministic. The
 exhaustive searches read products through the kernels of FiniteRing, which
@@ -33,14 +34,16 @@ DEFAULT_AXIOM_CAP = 2 ** 8
 # larger carriers are refused whatever the cap, with cardinality None.
 EXACT_CARDINALITY_DIGITS = 4000
 
-# Carriers up to this size fill their Cayley tables when they have paid for
-# them (FiniteRing._fill_countdown). Rows are array('B') up to 256 elements
+# Carriers up to this size fill their Cayley tables before a sweep over them
+# (FiniteRing.tabulate). Rows are array('B') up to 256 elements
 # and array('H') above, so one table takes at most 1024 * 1024 * 2 bytes =
 # 2 MiB; a ring holds an add and a mul table.
 _TABLE_THRESHOLD = 1024
 
 # Rows of carriers up to this size stay lists, which Python indexes faster
 # than arrays; such a table takes at most 128 * 128 * 8 bytes = 128 KiB.
+# A part this small is tabled when a matrix ring or a product is built on it,
+# and only a residue ring this small fills before a sweep.
 _LIST_ROWS = 128
 
 
@@ -140,21 +143,19 @@ def _positions(row: Sequence[int], code: int) -> Iterator[int]:
 class FiniteRing:
     """Common interface for every ring carrier in this package.
 
-    Subclasses supply _raw_add/_raw_neg/_raw_mul on codes; add/neg/mul route
-    through the Cayley tables once they are filled, and through _raw_* until
-    then. A carrier within _TABLE_THRESHOLD fills all three tables from
-    _add_rows/_mul_rows/_neg_row after _fill_price * size**2 untabled ops:
-    by then those ops have cost about what the fill costs, so a short
-    request never pays for a fill, and a long one pays at most about twice
-    what the better of filling at once or never would have. A sweep over
-    the whole carrier (units, idempotents) fills them at its start through
-    fill_due_tables, as it would run the countdown out anyway. The pairwise
-    default of the row builders, through _raw_*, is the oracle that the
-    structural overrides must equal entry by entry.
+    Subclasses supply _raw_add/_raw_neg/_raw_mul on codes; add/neg/mul read
+    the Cayley tables once they are filled and call _raw_* until then. The
+    tables fill all at once from _add_rows/_mul_rows/_neg_row, when a sweep
+    of O(n**2) ops or more is about to read them: units() and idempotents()
+    call tabulate() first, and the axiom check reads the tables of every
+    dense carrier within _TABLE_THRESHOLD. A request about a few elements,
+    such as a witness, fills nothing. The pairwise default of the row
+    builders, through _raw_*, is the oracle that the structural overrides
+    must equal entry by entry.
 
-    Units: a dense carrier whose tables are filled, or due to fill, takes
-    each inverse as the first v in ascending order with xv = 1 in x's mul
-    row, found in C, and vx = 1. Any other carrier asks inverse_of per
+    Units: a carrier whose mul table is filled takes each inverse as the
+    first v in ascending order with xv = 1 in x's mul row, found in C, and
+    vx = 1. Any other carrier asks inverse_of per
     element: the generic one is that two-sided scan through mul, and
     structured subclasses override it with construction-aware fast paths
     that must agree with the scan. Those serve untabled carriers and single
@@ -172,12 +173,6 @@ class FiniteRing:
     so they are freed with the ring.
     """
 
-    # What filling the tables costs per table entry, in units of what one
-    # table read saves over one untabled op. The pairwise build makes two
-    # _raw_* calls per entry; the structural builds set their own, measured
-    # and rounded to a power of two.
-    _fill_price = 2.0
-
     def __init__(self, size: int, one: int, commutative: bool) -> None:
         self.size = size
         self.zero = 0
@@ -186,10 +181,6 @@ class FiniteRing:
         self._add_table: Optional[list] = None
         self._mul_table: Optional[list] = None
         self._neg_table: Optional[Sequence[int]] = None
-        # untabled ops left before the tables fill; 0, counting nothing,
-        # above the threshold and after the fill
-        self._fill_countdown = (max(1, int(self._fill_price * size * size))
-                                if size <= _TABLE_THRESHOLD else 0)
         self._memo: dict = {}
 
     def cached(self, key, compute: Callable[[], Any]) -> Any:
@@ -220,33 +211,22 @@ class FiniteRing:
 
     # arithmetic ------------------------------------------------------------
 
-    # The hot path reads the tables. Until they are filled, an op of a
-    # carrier within the threshold counts down to the fill; the op that
-    # fills reads the new table directly rather than re-dispatching through
-    # add/neg/mul, so each call stays one operation.
-
     def add(self, a: int, b: int) -> int:
         t = self._add_table
         if t is not None:
             return t[a][b]
-        if self._fill_countdown and self._count_down():
-            return self._add_table[a][b]
         return self._raw_add(a, b)
 
     def neg(self, a: int) -> int:
         t = self._neg_table
         if t is not None:
             return t[a]
-        if self._fill_countdown and self._count_down():
-            return self._neg_table[a]
         return self._raw_neg(a)
 
     def mul(self, a: int, b: int) -> int:
         t = self._mul_table
         if t is not None:
             return t[a][b]
-        if self._fill_countdown and self._count_down():
-            return self._mul_table[a][b]
         return self._raw_mul(a, b)
 
     def sub(self, a: int, b: int) -> int:
@@ -264,27 +244,24 @@ class FiniteRing:
     def _raw_mul(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    def _count_down(self) -> bool:
-        """Count one untabled op; True when it fills the tables."""
-        self._fill_countdown -= 1
-        if self._fill_countdown:
-            return False
-        self._fill_tables()
-        return True
+    def tabulate(self) -> None:
+        """Fill the tables now, ahead of a sweep over the carrier.
 
-    def fill_due_tables(self) -> None:
-        """Fill the tables now if they are still due to fill at all.
-
-        A sweep over the whole carrier calls this first: it would run the
-        countdown out anyway, and every op before the fill would be untabled.
-        Corners and carriers that never fill have no countdown and stay as
-        they are.
+        Only a dense carrier (codes 0..size-1) of at most _TABLE_THRESHOLD
+        elements fills; a corner's carrier is not dense, so it never does.
         """
-        if self._mul_table is None and self._fill_countdown:
+        if isinstance(self.elements(), range) and self.size <= _TABLE_THRESHOLD:
+            self._tables()
+
+    def _tables(self) -> tuple[list, list, Sequence[int]]:
+        """The add, mul and neg tables, filled now if they are not yet,
+        whatever the size: a composite's fill reads its parts' tables."""
+        if self._mul_table is None:
             self._fill_tables()
+        return self._add_table, self._mul_table, self._neg_table
 
     def _fill_tables(self) -> None:
-        """Fill all three tables now, whatever the countdown."""
+        """Fill all three tables now."""
         row = list if self.size <= _LIST_ROWS else partial(array, _row_code(self.size))
         self._neg_table = row(self._neg_row())
         self._mul_table = list(map(row, self._mul_rows()))
@@ -383,7 +360,7 @@ class FiniteRing:
         Treat the returned dict as read-only.
         """
         def sweep() -> dict[int, int]:
-            self.fill_due_tables()
+            self.tabulate()
             t, one = self._mul_table, self.one
             if t is None:
                 return {x: v for x in self.elements()
@@ -424,12 +401,11 @@ class ZmodRing(FiniteRing):
     """Integers modulo n; codes are the residues 0..n-1.
 
     A residue op costs only about two table reads, so a table saves little
-    per op, and counting down to a fill would cost more than it saves. A
-    residue ring small enough for list rows fills its tables on its first
-    op; a larger one only for check_ring_axioms, whose proofs read them.
+    per op: a residue ring fills its tables before a sweep only when they
+    are list rows, of at most _LIST_ROWS elements. A larger one fills them
+    only for check_ring_axioms, whose proofs read them, or for a ring built
+    on it that fills.
     """
-
-    _fill_price = 0.0
 
     def __init__(self, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
         if n < 1:
@@ -437,8 +413,10 @@ class ZmodRing(FiniteRing):
         require_cap(n, size_cap)
         self.n = n
         super().__init__(size=n, one=1 % n, commutative=True)
-        if n > _LIST_ROWS:
-            self._fill_countdown = 0
+
+    def tabulate(self) -> None:
+        if self.n <= _LIST_ROWS:
+            super().tabulate()
 
     def _add_rows(self) -> Iterable[array]:
         n = self.n
@@ -531,12 +509,8 @@ class _SquareRing(FiniteRing):
         one = self._pack(base.one if i == j else base.zero for i, j in slots)
         commutative = base.is_commutative if k == 1 else cardinality == 1
         super().__init__(size=cardinality, one=one, commutative=commutative)
-
-    @property
-    def _fill_price(self) -> float:
-        # the fill evaluates only row-vector products, a share of the entries
-        # that falls as k grows; k = 1 composes rows of the base's tables
-        return 1 / 64 if self.k <= 2 else 1 / 256
+        if base.size <= _LIST_ROWS:
+            base.tabulate()
 
     def _digits(self, code: int) -> list[int]:
         B = self.base.size
@@ -623,18 +597,12 @@ class _SquareRing(FiniteRing):
             parts.append(shares)
         return _summed_rows(parts, n)
 
-    def _base_tables(self) -> tuple[list, list]:
-        """The base's add and mul tables, filled now if they are not yet."""
-        if self.base._add_table is None:
-            self.base._fill_tables()
-        return self.base._add_table, self.base._mul_table
-
     def _add_rows(self) -> Iterable:
         """The additive group is the base's to the power of the slot count m,
         in the same mixed-radix order. So the table of m slots is the pair
         table of its first m // 2 slots and the rest, each built the same
         way from the base's add rows."""
-        base_rows = self._base_tables()[0]
+        base_rows = self.base._tables()[0]
         powers = {1: base_rows}
 
         def power(m: int) -> Sequence:
@@ -660,7 +628,7 @@ class _SquareRing(FiniteRing):
         r*b for every row r of base digits.
         """
         if self.k == 1:  # entry (a, b) is the base's 0 + ab: its + row of 0 after mul row a
-            add_rows, mul_rows = self._base_tables()
+            add_rows, mul_rows, _ = self.base._tables()
             pack, compose = _row_ops(self.size)
             zero_row = pack(add_rows[0])
             return (compose(zero_row, pack(row)) for row in mul_rows)
@@ -782,34 +750,38 @@ class TriangularRing(_SquareRing):
 
 
 class ProductRing(FiniteRing):
-    """Direct product of two rings with componentwise arithmetic.
+    """Direct product of two dense rings with componentwise arithmetic.
 
-    Codes pack the two component positions as pos1 * |r2| + pos2; for dense
-    factors this is exactly code1 * |r2| + code2.
+    The code of (c1, c2) is c1 * |r2| + c2. Each factor of at most
+    _LIST_ROWS elements is tabled when the product is built, and every
+    factor before a sweep over the product; the product's tables pair the
+    rows of the factors'.
     """
 
-    _fill_price = 1 / 8
-
     def __init__(self, r1: FiniteRing, r2: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> None:
+        if not (isinstance(r1.elements(), range) and isinstance(r2.elements(), range)):
+            raise ValueError("the factors of a product must be dense carriers")
         cardinality = r1.size * r2.size
         require_cap(cardinality, size_cap)
         self.r1 = r1
         self.r2 = r2
-        self._elems1 = list(r1.elements())
-        self._elems2 = list(r2.elements())
-        self._pos1 = {c: i for i, c in enumerate(self._elems1)}
-        self._pos2 = {c: i for i, c in enumerate(self._elems2)}
-        one = self.encode((r1.one, r2.one))
-        super().__init__(size=cardinality, one=one,
+        super().__init__(size=cardinality, one=self.encode((r1.one, r2.one)),
                          commutative=r1.is_commutative and r2.is_commutative)
+        for factor in (r1, r2):
+            if factor.size <= _LIST_ROWS:
+                factor.tabulate()
+
+    def tabulate(self) -> None:
+        self.r1.tabulate()
+        self.r2.tabulate()
+        super().tabulate()
 
     def decode(self, code: int):
-        q, r = divmod(code, len(self._elems2))
-        return (self._elems1[q], self._elems2[r])
+        return divmod(code, self.r2.size)
 
     def encode(self, pair) -> int:
         c1, c2 = pair
-        return self._pos1[c1] * len(self._elems2) + self._pos2[c2]
+        return c1 * self.r2.size + c2
 
     def _raw_add(self, a: int, b: int) -> int:
         a1, a2 = self.decode(a)
@@ -825,22 +797,14 @@ class ProductRing(FiniteRing):
         b1, b2 = self.decode(b)
         return self.encode((self.r1.mul(a1, b1), self.r2.mul(a2, b2)))
 
-    def _op_rows(self, op1: Callable[[int, int], int],
-                 op2: Callable[[int, int], int]) -> Iterable[bytes]:
-        e1, e2, pos1, pos2 = self._elems1, self._elems2, self._pos1, self._pos2
-        return _pair_rows([[pos1[op1(x, y)] for y in e1] for x in e1],
-                          [[pos2[op2(x, y)] for y in e2] for x in e2])
-
     def _add_rows(self) -> Iterable[bytes]:
-        return self._op_rows(self.r1.add, self.r2.add)
+        return _pair_rows(self.r1._tables()[0], self.r2._tables()[0])
 
     def _mul_rows(self) -> Iterable[bytes]:
-        return self._op_rows(self.r1.mul, self.r2.mul)
+        return _pair_rows(self.r1._tables()[1], self.r2._tables()[1])
 
     def _neg_row(self) -> bytes:
-        row1 = [self._pos1[self.r1.neg(x)] for x in self._elems1]
-        row2 = [self._pos2[self.r2.neg(x)] for x in self._elems2]
-        return next(_pair_rows([row1], [row2]))
+        return next(_pair_rows([self.r1._tables()[2]], [self.r2._tables()[2]]))
 
     def inverse_of(self, x: int) -> Optional[int]:
         x1, x2 = self.decode(x)
@@ -1065,9 +1029,7 @@ def _cayley_rows(ring: FiniteRing, elems: list[int]) -> list[Callable[[int], Any
     n, pack = len(elems), _row_ops(len(elems))[0]
     getters = []
     if isinstance(ring.elements(), range) and n <= _TABLE_THRESHOLD:
-        if ring._add_table is None:
-            ring._fill_tables()
-        for rows in (list(map(pack, t)) for t in (ring._add_table, ring._mul_table)):
+        for rows in (list(map(pack, t)) for t in ring._tables()[:2]):
             getters += (rows.__getitem__, list(map(pack, zip(*rows))).__getitem__)
         return getters
     index = dict(zip(elems, range(n))).__getitem__

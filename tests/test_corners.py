@@ -150,7 +150,7 @@ def test_corner_inverse_outside_carrier_keeps_scan_answer(rings):
 @pytest.mark.parametrize("spec", ["Z4", "Z6", "M2(Z2)", "M2(Z4)"])
 def test_corners_never_fill_tables(monkeypatch, spec):
     # a corner's ops are the ambient ring's: it has no row builders, and a
-    # countdown or fill of its own would reach FiniteRing._neg_row
+    # fill of its own would reach FiniteRing._neg_row
     fill = FiniteRing._fill_tables
 
     def guarded(ring):
@@ -161,7 +161,8 @@ def test_corners_never_fill_tables(monkeypatch, spec):
     ring = build_ring(spec)
     for idem in idempotents(ring):
         corner = corner_ring(ring, idem)
-        assert corner._fill_countdown == 0
+        corner.tabulate()
+        assert (corner._add_table, corner._mul_table, corner._neg_table) == (None, None, None)
         assert classify_payload(corner)[1]
         assert verify_payload(corner, axiom_cap=64)[1]
         assert corner._mul_table is None

@@ -319,30 +319,57 @@ def _untabled(ring):
     return (ring._add_table, ring._mul_table, ring._neg_table) == (None, None, None)
 
 
-@pytest.mark.parametrize("last", ["add", "neg", "mul"])
-def test_tables_fill_when_the_countdown_runs_out(last):
+@pytest.mark.parametrize("op", ["add", "neg", "mul"])
+def test_no_count_of_ops_fills_the_tables_and_units_does(op):
+    # every pair once, a whole table's worth of ops, yet the tables fill
+    # only when a sweep begins
     ring = build_ring("M2(Z4)")
+    call, raw = getattr(ring, op), getattr(ring, "_raw_" + op)
+    arity = 1 if op == "neg" else 2
+    for a, b in product(ring.elements(), repeat=2):
+        assert call(*(a, b)[:arity]) == raw(*(a, b)[:arity])
     assert _untabled(ring)
-    countdown = ring._fill_countdown
-    assert countdown == 256 * 256 // 64
-    calls = {"add": (ring.add, ring._raw_add, (3, 5)), "neg": (ring.neg, ring._raw_neg, (3,)),
-             "mul": (ring.mul, ring._raw_mul, (3, 5))}
-    for i in range(countdown - 1):
-        op, raw, args = calls[("add", "neg", "mul")[i % 3]]
-        assert op(*args) == raw(*args)
-    assert _untabled(ring) and ring._fill_countdown == 1
-    op, raw, args = calls[last]
-    assert op(*args) == raw(*args)  # the last untabled op fills, then reads
+    ring.units()
     assert not any(t is None for t in (ring._add_table, ring._mul_table, ring._neg_table))
+    assert call(*(3, 5)[:arity]) == raw(*(3, 5)[:arity])
 
 
 def test_residue_rings_table_when_small_and_never_when_large():
+    # before a sweep, that is; the axiom proofs read the tables of both
     small, large = build_ring("Z128"), build_ring("Z129")
-    assert small.mul(3, 5) == 15 and not _untabled(small)
+    for ring in (small, large):
+        assert ring.mul(3, 5) == 15 and _untabled(ring)
+        ring.units()
+    assert not _untabled(small)
     for a in large.elements():
         for b in large.elements():
             assert large.mul(a, b) == a * b % 129
     assert _untabled(large)
+    for ring in (build_ring("Z128"), large):
+        assert check_ring_axioms(ring).ok and not _untabled(ring)
+
+
+@pytest.mark.parametrize("spec", ["M2(T2(Z2))", "T2(T2(Z2))"])
+def test_small_bases_are_tabled_when_the_matrix_ring_is_built(spec):
+    ring = build_ring(spec)
+    assert ring.base.size == 8 and not _untabled(ring.base)
+    assert _untabled(ring)
+
+
+def test_a_sweep_on_a_large_product_tables_its_factors_only():
+    ring = build_ring("M2(Z4)xZ5")
+    big, small = ring.r1, ring.r2
+    assert ring.size == 1280 > rings_module._TABLE_THRESHOLD
+    assert _untabled(big) and not _untabled(small)  # 256 and 5 elements
+    ring.units()
+    assert _untabled(ring) and not _untabled(big)
+
+
+def test_products_need_dense_factors():
+    z4 = build_ring("Z4")
+    corner = corner_ring(z4, idempotents(z4)[0])
+    with pytest.raises(ValueError, match="dense"):
+        ProductRing(corner, z4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 256, 257, 1000])
@@ -373,12 +400,11 @@ def test_short_request_fills_nothing_and_a_sweep_fills():
 @pytest.mark.parametrize("bad", ["e", "a", "b", "u", "v"])
 def test_witness_refused_for_a_bad_code_fills_nothing(bad):
     ring = build_ring("M2(Z4)")
-    countdown = ring._fill_countdown
     codes = dict(e=ring.one, a=ring.one, b=0, u=ring.one, v=ring.one)
     codes[bad] = ring.size
     with pytest.raises(ValueError, match="not an element code"):
         witness_payload(ring, **codes)
-    assert _untabled(ring) and ring._fill_countdown == countdown
+    assert _untabled(ring)
 
 
 def test_carrier_above_threshold_stays_untabled(rings):
