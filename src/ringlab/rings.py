@@ -23,7 +23,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations, product, repeat
+from itertools import product, repeat
 from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -156,10 +156,11 @@ class FiniteRing:
     Units: a carrier whose mul table is filled takes each inverse as the
     first v in ascending order with xv = 1 in x's mul row, found in C, and
     vx = 1. Any other carrier asks inverse_of per
-    element: the generic one is that two-sided scan through mul, and
-    structured subclasses override it with construction-aware fast paths
-    that must agree with the scan. Those serve untabled carriers and single
-    inverses, such as a witness request's.
+    element: the generic one is that two-sided scan through mul. Each
+    construction overrides it once (gcd for residues, the walk of powers for
+    square rings, componentwise for products, the ambient ring for corners),
+    and each must agree with the scan. Those serve untabled carriers and
+    single inverses, such as a witness request's.
 
     The exhaustive searches read products through the kernels, one per
     product shape: find_left, find_right and find_sandwich return the first
@@ -454,29 +455,6 @@ class ZmodRing(FiniteRing):
         return f"Z{self.n}"
 
 
-def _perm_parity(perm: tuple[int, ...]) -> int:
-    inversions = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inversions += 1
-    return inversions & 1
-
-
-def _det(base: FiniteRing, rows) -> int:
-    """Determinant over a commutative base via the permutation expansion."""
-    k = len(rows)
-    total = base.zero
-    for perm in permutations(range(k)):
-        prod = base.one
-        for i in range(k):
-            prod = base.mul(prod, rows[i][perm[i]])
-        if _perm_parity(perm):
-            prod = base.neg(prod)
-        total = base.add(total, prod)
-    return total
-
-
 class _SquareRing(FiniteRing):
     """k-by-k matrices over a base ring whose entries live in fixed slots.
 
@@ -556,6 +534,25 @@ class _SquareRing(FiniteRing):
                 acc = add(acc, mul(da[p], db[q]))
             out.append(acc)
         return self._pack(out)
+
+    def inverse_of(self, x: int) -> Optional[int]:
+        """x^(m-1) for the least m >= 1 with x^m = 1, or None.
+
+        The powers of x in a finite ring repeat, and they are distinct until
+        the first repeat. x is a unit exactly when that repeat is one, and
+        the power before it is x's inverse on both sides; so the walk takes
+        at most size products, over any base. M1(B) and T1(B) are B code for
+        code, so they ask the base.
+        """
+        if self.k == 1:
+            return self.base.inverse_of(x)
+        mul, one = self.mul, self.one
+        seen = {one}
+        prev, power = one, x
+        while power not in seen:
+            seen.add(power)
+            prev, power = power, mul(power, x)
+        return prev if power == one else None
 
     # Cayley tables from the base operations. Every entry is the value the
     # _raw_* method computes, from the same base operations in the same
@@ -655,14 +652,7 @@ class _SquareRing(FiniteRing):
 
 
 class MatrixRing(_SquareRing):
-    """Full k-by-k matrix ring over a base ring; every entry is a slot.
-
-    Inversion uses the determinant/adjugate fast path only when the
-    construction tree proves the base commutative; otherwise it falls back
-    to the generic two-sided scan. A zero-ring carrier, the only one whose
-    dimension the carrier cap leaves unbounded, takes the scan too: one
-    probe instead of a k!-term permutation expansion.
-    """
+    """Full k-by-k matrix ring over a base ring; every entry is a slot."""
 
     def __init__(self, k: int, base: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> None:
         super().__init__(k, base, tuple((i, j) for i in range(k) for j in range(k)),
@@ -674,48 +664,14 @@ class MatrixRing(_SquareRing):
     _raw_neg = _SquareRing._raw_neg
     _raw_mul = _SquareRing._raw_mul
 
-    def inverse_of(self, x: int) -> Optional[int]:
-        base = self.base
-        if not base.is_commutative or self.size == 1:
-            return self._scan_inverse(x)
-        rows = self.decode(x)
-        det_inv = base.inverse_of(_det(base, rows))
-        if det_inv is None:
-            return None
-        return self.encode([[base.mul(det_inv, entry) for entry in row]
-                            for row in self._adjugate(rows)])
-
-    def _adjugate(self, rows):
-        k = self.k
-        base = self.base
-        if k == 1:
-            return ((base.one,),)
-        out = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                minor = tuple(tuple(rows[r][c] for c in range(k) if c != i)
-                              for r in range(k) if r != j)
-                cof = _det(base, minor)
-                if (i + j) % 2:
-                    cof = base.neg(cof)
-                row.append(cof)
-            out.append(tuple(row))
-        return tuple(out)
-
     @property
     def spec_string(self) -> str:
         return f"M{self.k}({self.base.spec_string})"
 
 
 class TriangularRing(_SquareRing):
-    """Upper-triangular k-by-k matrices over a base ring.
-
-    Only the k(k+1)/2 on-or-above-diagonal slots are stored. An element is a
-    unit exactly when every diagonal entry is a unit of the base; the
-    inverse is then found by back-substitution, which stays valid over a
-    noncommutative base.
-    """
+    """Upper-triangular k-by-k matrices over a base ring; only the k(k+1)/2
+    on-or-above-diagonal slots are stored."""
 
     def __init__(self, k: int, base: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> None:
         super().__init__(k, base, tuple((i, j) for i in range(k) for j in range(i, k)),
@@ -724,25 +680,6 @@ class TriangularRing(_SquareRing):
     _raw_add = _SquareRing._raw_add
     _raw_neg = _SquareRing._raw_neg
     _raw_mul = _SquareRing._raw_mul
-
-    def inverse_of(self, x: int) -> Optional[int]:
-        base, k = self.base, self.k
-        rows = self.decode(x)
-        diag_inv = []
-        for i in range(k):
-            d = base.inverse_of(rows[i][i])
-            if d is None:
-                return None
-            diag_inv.append(d)
-        inv = [[base.zero] * k for _ in range(k)]
-        for j in range(k):
-            inv[j][j] = diag_inv[j]
-            for i in range(j - 1, -1, -1):
-                acc = base.zero
-                for l in range(i + 1, j + 1):
-                    acc = base.add(acc, base.mul(rows[i][l], inv[l][j]))
-                inv[i][j] = base.mul(diag_inv[i], base.neg(acc))
-        return self.encode(inv)
 
     @property
     def spec_string(self) -> str:

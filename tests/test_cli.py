@@ -6,6 +6,7 @@ and console wiring actually exist.
 """
 
 import gc
+import hashlib
 import json
 import random
 import subprocess
@@ -436,10 +437,21 @@ def test_huge_dimension_over_the_zero_ring_is_capped_in_bounded_time(schema, let
 
 
 def test_large_dimension_over_the_zero_ring_classifies_in_bounded_time():
-    # a 9x9 determinant expansion would take 9! products per inverse
+    # a single-element carrier: each inverse is one step of the power walk,
+    # whatever the dimension
     code, doc, elapsed = timed_run(["classify", "--ring", "M9(Z1)"])
     assert code == EXIT_PASS and elapsed < 1.0
     assert doc["payload"]["unit_regular_set"] == [0]
+
+
+def test_classify_above_the_table_threshold_keeps_its_payload():
+    # 1,296 elements, untabled: units() asks inverse_of for every element.
+    # The hash is of the payload as the benchmark worker hashes it.
+    code, doc = run_command(["classify", "--ring", "M2(Z6)", "--json"])
+    assert code == EXIT_PASS
+    digest = hashlib.sha256(json.dumps(doc["payload"], sort_keys=True).encode("utf-8"))
+    assert digest.hexdigest() == (
+        "95a1fb98c76faa727125ac622d5d3dee789276de902b99ed8a14fac470c59ffa")
 
 
 def test_oversized_truncation_is_capped_in_bounded_time(capsys, schema):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import permutations, product
 
 import pytest
@@ -226,6 +227,83 @@ def test_matrix_inverse_over_noncommutative_base_falls_back_to_scan(rings):
     m = MatrixRing(1, inner)
     for x in m.elements():
         assert m.inverse_of(x) == m._scan_inverse(x)
+
+
+def _inverse_mismatches(spec):
+    """Codes where inverse_of on a fresh, untabled ring differs from the
+    two-sided scan on a second, tabled instance."""
+    fresh, oracle = build_ring(spec), build_ring(spec)
+    oracle.tabulate()
+    mismatches = [x for x in fresh.elements()
+                  if fresh.inverse_of(x) != oracle._scan_inverse(x)]
+    assert fresh._mul_table is None
+    return mismatches
+
+
+# Square rings outside AXIOM_FAMILY whose inverses take the power walk:
+# larger bases, a noncommutative base, k = 1 over one, and the zero ring.
+POWER_WALK_CARRIERS = ("M3(Z2)", "T2(Z8)", "T2(T2(Z2))", "M1(T2(Z2))", "T3(Z1)", "M5(Z1)")
+
+
+@pytest.mark.parametrize("spec", POWER_WALK_CARRIERS)
+def test_square_ring_inverse_agrees_with_scan(spec):
+    assert _inverse_mismatches(spec) == []
+
+
+def test_inverse_agreement_catches_a_walk_one_power_late(monkeypatch):
+    def one_power_late(self, x):
+        # the walk of _SquareRing.inverse_of, answering x^m = 1 for x^(m-1)
+        mul, one = self.mul, self.one
+        seen, power = {one}, x
+        while power not in seen:
+            seen.add(power)
+            power = mul(power, x)
+        return power if power == one else None
+
+    monkeypatch.setattr(rings_module._SquareRing, "inverse_of", one_power_late)
+    ring = build_ring("T2(Z8)")
+    assert set(_inverse_mismatches("T2(Z8)")) == set(ring.units()) - {ring.one}
+
+
+@pytest.mark.parametrize("cls", [MatrixRing, TriangularRing])
+def test_dimension_one_inverse_is_the_base_gcd_inverse(monkeypatch, cls):
+    p = 1009
+    ring = cls(1, ZmodRing(p))
+
+    def no_walk(a, b):
+        raise AssertionError("k = 1 walked the powers")
+
+    monkeypatch.setattr(ring, "mul", no_walk)
+    for x in range(p):
+        assert ring.inverse_of(x) == (pow(x, -1, p) if math.gcd(x, p) == 1 else None)
+
+
+@pytest.mark.parametrize("spec, rows", [
+    ("M2(Z31)", ((0, 1), (7, 1))),    # a unit of order 960
+    ("T2(Z101)", ((2, 1), (0, 2))),   # a unit of order 10,100
+])
+def test_long_power_walk_inverts_in_bounded_time(spec, rows):
+    ring = build_ring(spec)
+    u = ring.encode(rows)
+    start = time.perf_counter()
+    v = ring.inverse_of(u)
+    elapsed = time.perf_counter() - start
+    assert v is not None and ring.mul(u, v) == ring.one == ring.mul(v, u)
+    assert elapsed < 1.0
+
+
+def test_m2_inverse_exists_exactly_when_the_determinant_is_a_unit():
+    p = 31
+    ring = build_ring("M2(Z31)")
+    rng = random.Random(20261019)
+    for i in range(200):
+        if i % 2:
+            a, b, c, d = (rng.randrange(p) for _ in range(4))
+        else:  # second row a multiple of the first: singular by construction
+            a, b, s = rng.randrange(p), rng.randrange(p), rng.randrange(p)
+            c, d = s * a % p, s * b % p
+        x = ring.encode(((a, b), (c, d)))
+        assert (ring.inverse_of(x) is None) == ((a * d - b * c) % p == 0), (a, b, c, d)
 
 
 @pytest.mark.parametrize("spec", AXIOM_FAMILY)
