@@ -15,6 +15,20 @@ least-recently-used cache keyed by the parsed description and bounded by
 RING_CACHE_BUDGET table entries (resolve_ring). The caps are checked on
 every request before the lookup. specparse.build_ring stays uncached and
 returns a fresh ring.
+
+Each command's options are declared once, in COMMANDS. build_parser turns
+the table into an argparse parser, and _parse reads the same table to parse
+a plain argv directly: the command first, then only exact flags as
+`--flag value` or `--flag=value`, no value starting with "-", int options
+through int(), every required flag present. That returns the Namespace
+argparse would, for a tenth of its cost. Every other argv (help,
+abbreviated or unknown flags, missing values, bad ints, negative numbers)
+goes to one cached argparse parser, which stays the only source of help
+text and usage errors. Flags are spelled in full: no parser accepts an
+abbreviation, so "--json" in argv is exactly the JSON switch.
+
+A reader that closes stdout early ends nothing badly: main stops writing
+and returns the command's own exit code, with no traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ import os
 import sys
 import time
 from collections import OrderedDict
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .report import (
     classify_payload,
@@ -60,54 +74,128 @@ ENV_SIZE_CAP = "RINGLAB_SIZE_CAP"
 ENV_AXIOM_CAP = "RINGLAB_AXIOM_CAP"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit the report document as JSON")
-    common.add_argument("--size-cap", type=int, default=None, metavar="N",
-                        help=f"carrier size limit (default {DEFAULT_SIZE_CAP}, "
-                             f"env {ENV_SIZE_CAP})")
-    common.add_argument("--axiom-cap", type=int, default=None, metavar="N",
-                        help=f"axiom sweep size limit (default {DEFAULT_AXIOM_CAP}, "
-                             f"env {ENV_AXIOM_CAP})")
+class _Option(NamedTuple):
+    """One command option, as build_parser and _parse both read it."""
 
+    flag: str
+    dest: str
+    type: type = str  # str or int takes a value; bool is a switch
+    required: bool = False
+    default: object = None
+    metavar: Optional[str] = None
+    help: Optional[str] = None
+
+
+_COMMON = (
+    _Option("--json", "json", bool, default=False,
+            help="emit the report document as JSON"),
+    _Option("--size-cap", "size_cap", int, metavar="N",
+            help=f"carrier size limit (default {DEFAULT_SIZE_CAP}, "
+                 f"env {ENV_SIZE_CAP})"),
+    _Option("--axiom-cap", "axiom_cap", int, metavar="N",
+            help=f"axiom sweep size limit (default {DEFAULT_AXIOM_CAP}, "
+                 f"env {ENV_AXIOM_CAP})"),
+)
+
+
+def _options(*own: _Option) -> dict[str, _Option]:
+    return {option.flag: option for option in _COMMON + own}
+
+
+def _ring(help: Optional[str] = None) -> _Option:
+    return _Option("--ring", "ring", required=True, metavar="SPEC", help=help)
+
+
+def _code(flag: str, help: str) -> _Option:
+    return _Option(flag, flag[2:], int, required=True, help=help)
+
+
+# Every command with its help line and its options by flag, in help order.
+COMMANDS: dict[str, tuple[str, dict[str, _Option]]] = {
+    "classify": ("regularity kind of every element", _options(
+        _ring("ring description, e.g. Z6, M2(Z2), T2(Z3)xZ2"))),
+    "verify-theorem": ("check the corner unit-regularity conditions", _options(
+        _ring(),
+        _Option("--idempotent", "idempotent", default="all", metavar="all|CODE",
+                help="sweep every idempotent or just the given code"))),
+    "witness": ("recover a corner witness from ambient data", _options(
+        _ring(),
+        _code("--e", "idempotent code"),
+        _code("--a", "corner element code"),
+        _code("--b", "complement corner element code"),
+        _code("--u", "middle term code"),
+        _Option("--v", "v", int, help="partner for u (default: its inverse)"))),
+    "shift-demo": ("the infinite-carrier separation of the corner conditions",
+                   _options(_Option("--truncation", "truncation", int, default=8,
+                                    metavar="N",
+                                    help="largest truncation size for rank "
+                                         "evidence"))),
+    "family": ("verify the curated ring family end to end", _options()),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="ringlab",
+        prog="ringlab", allow_abbrev=False,
         description="exhaustive unit-regularity checks on finite rings and "
                     "their corner subrings")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="regularity kind of every element")
-    p.add_argument("--ring", required=True, metavar="SPEC",
-                   help="ring description, e.g. Z6, M2(Z2), T2(Z3)xZ2")
-
-    p = sub.add_parser("verify-theorem", parents=[common],
-                       help="check the corner unit-regularity conditions")
-    p.add_argument("--ring", required=True, metavar="SPEC")
-    p.add_argument("--idempotent", default="all", metavar="all|CODE",
-                   help="sweep every idempotent or just the given code")
-
-    p = sub.add_parser("witness", parents=[common],
-                       help="recover a corner witness from ambient data")
-    p.add_argument("--ring", required=True, metavar="SPEC")
-    p.add_argument("--e", required=True, type=int, help="idempotent code")
-    p.add_argument("--a", required=True, type=int, help="corner element code")
-    p.add_argument("--b", required=True, type=int,
-                   help="complement corner element code")
-    p.add_argument("--u", required=True, type=int, help="middle term code")
-    p.add_argument("--v", type=int, default=None,
-                   help="partner for u (default: its inverse)")
-
-    p = sub.add_parser("shift-demo", parents=[common],
-                       help="the infinite-carrier separation of the corner "
-                            "conditions")
-    p.add_argument("--truncation", type=int, default=8, metavar="N",
-                   help="largest truncation size for rank evidence")
-
-    sub.add_parser("family", parents=[common],
-                   help="verify the curated ring family end to end")
+    for command, (summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
+        for o in options.values():
+            if o.type is bool:
+                p.add_argument(o.flag, dest=o.dest, action="store_true",
+                               help=o.help)
+            else:
+                p.add_argument(o.flag, dest=o.dest, type=o.type,
+                               required=o.required, default=o.default,
+                               metavar=o.metavar, help=o.help)
     return parser
+
+
+def _parse(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace build_parser() would return for a plain argv, else None.
+
+    Plain is a command, then exact flags as `--flag value` or
+    `--flag=value`, no value starting with "-", every int value int()-able
+    and every required flag present. Anything else (help, abbreviations,
+    unknown or incomplete flags, negative numbers) is left to argparse.
+    """
+    entry = COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    options = entry[1]
+    values = {o.dest: o.default for o in options.values()}
+    values["command"] = argv[0]
+    i, n = 1, len(argv)
+    while i < n:
+        flag, eq, value = argv[i].partition("=")
+        option = options.get(flag)
+        if option is None:
+            return None
+        i += 1
+        if option.type is bool:
+            if eq:
+                return None
+            values[option.dest] = True
+            continue
+        if not eq:
+            if i == n:
+                return None
+            value = argv[i]
+            i += 1
+        if value.startswith("-"):
+            return None
+        if option.type is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[option.dest] = value
+    for o in options.values():
+        if o.required and values[o.dest] is None:
+            return None
+    return argparse.Namespace(**values)
 
 
 def _resolve_cap(flag_value: Optional[int], env_name: str, default: int) -> int:
@@ -125,8 +213,9 @@ def _resolve_cap(flag_value: Optional[int], env_name: str, default: int) -> int:
     return value
 
 
-# Built on the first request and reused: parse_args keeps no state between
-# calls, and building the parser costs ten times what parsing one argv does.
+# Built on the first argv _parse declines and reused: parse_args keeps no
+# state between calls, and building the parser costs ten times what parsing
+# one argv does.
 _parser: Optional[argparse.ArgumentParser] = None
 
 
@@ -175,12 +264,14 @@ def clear_ring_cache() -> None:
 
 def run_command(argv: list[str]) -> tuple[int, Optional[dict]]:
     global _parser
-    if _parser is None:
-        _parser = build_parser()
-    try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return (EXIT_PASS if exc.code == 0 else EXIT_USAGE), None
+    args = _parse(argv)
+    if args is None:
+        if _parser is None:
+            _parser = build_parser()
+        try:
+            args = _parser.parse_args(argv)
+        except SystemExit as exc:
+            return (EXIT_PASS if exc.code == 0 else EXIT_USAGE), None
 
     command = args.command
     ring_label: Optional[str] = None
@@ -244,7 +335,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     code, doc = run_command(argv)
     if doc is not None:
         fmt = "json" if "--json" in argv else "human"
-        print(emit_report(doc, fmt))
+        try:
+            print(emit_report(doc, fmt), flush=True)
+        except BrokenPipeError:
+            # the reader left; the interpreter's last flush goes nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

@@ -5,9 +5,12 @@ document; one subprocess smoke test at the end proves the module entry point
 and console wiring actually exist.
 """
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -237,8 +240,137 @@ def test_run_command_reuses_one_parser(monkeypatch):
     monkeypatch.setattr(cli_mod, "build_parser", counting)
     for _ in range(3):
         assert run_command(["classify", "--ring", "Z4"])[0] == EXIT_PASS
+    assert run_command(["classify", "--ring=Z4", "--json"])[0] == EXIT_PASS
+    assert built == []
     assert run_command(["classify"])[0] == EXIT_USAGE
     assert len(built) == 1
+    assert run_command(["classify", "--ring", "Z4", "--bogus"])[0] == EXIT_USAGE
+    assert run_command(["classify", "--help"]) == (EXIT_PASS, None)
+    assert len(built) == 1
+
+
+def test_abbreviated_flags_are_usage_errors(capsys):
+    argv = ["classify", "--ring", "Z2", "--js"]
+    assert run_command(argv) == (EXIT_USAGE, None)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --js" in captured.err
+    assert run_command(["classify", "--ri", "Z2"]) == (EXIT_USAGE, None)
+
+
+# the table-driven parser against argparse ---------------------------------------
+
+
+def _pairs(argv):
+    """The tokens after the command, as [flag, value] or [token] groups."""
+    groups, i = [], 1
+    while i < len(argv):
+        if argv[i].startswith("--") and i + 1 < len(argv) \
+                and not argv[i + 1].startswith("--"):
+            groups.append(argv[i:i + 2])
+            i += 2
+        else:
+            groups.append(argv[i:i + 1])
+            i += 1
+    return groups
+
+
+def _joined(command, groups):
+    return command + [token for group in groups for token in group]
+
+
+def _mutations(argv, rng):
+    """Seeded respellings and malformed variants of one argv."""
+    command, groups = argv[:1], _pairs(argv)
+    pairs = [g for g in groups if len(g) == 2]
+    out = []
+    shuffled = list(groups)
+    rng.shuffle(shuffled)
+    out.append(_joined(command, shuffled) + ["--json"])
+    out.append(_joined(command, [["=".join(g)] if len(g) == 2 and rng.random() < 0.7
+                                 else g for g in groups]))
+    if argv:
+        drop = rng.randrange(len(argv))
+        out.append(argv[:drop] + argv[drop + 1:])
+        at = rng.randrange(len(argv) + 1)
+        out.append(argv[:at] + ["-h"] + argv[at:])
+        out.append(argv[:at] + [rng.choice(["--bogus", "--js", "--ri", "--", "-x"])]
+                   + argv[at:])
+        out.append(argv + [rng.choice(["--json=", "--json=1", "--json=--json"])])
+    if pairs:
+        flag, value = rng.choice(pairs)
+        out.append(argv + [flag, value])
+        out.append(argv + [f"{flag}={value}", "--json", "--json"])
+        out.append(argv + [flag, ""])
+        out.append(argv + [f"{flag}="])
+        out.append(argv + [flag, rng.choice(["-1", "-" + value, "--json"])])
+        out.append(argv + [f"{flag}=-{value}"])
+        out.append(argv + [flag])
+    return out
+
+
+@pytest.fixture(scope="module")
+def parse_corpus():
+    argvs = [list(e["argv"]) for e in json.loads(REFERENCE.read_text())["requests"].values()]
+    rng = random.Random(2014)
+    corpus = []
+    for argv in argvs:
+        corpus += [argv, argv + ["--json"]] + _mutations(argv, rng)
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def oracle_parser():
+    return cli_mod.build_parser()
+
+
+def _argparse_vars(parser, argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _parse_mismatches(parser, corpus):
+    """Argvs where _parse answers and argparse disagrees with the answer."""
+    mismatches = []
+    for argv in corpus:
+        fast = cli_mod._parse(argv)
+        if fast is not None and vars(fast) != _argparse_vars(parser, argv):
+            mismatches.append(argv)
+    return mismatches
+
+
+def _has_dash_value(argv):
+    return any(token.startswith("-") and not token.startswith("--")
+               or token.partition("=")[2].startswith("-") for token in argv[1:])
+
+
+def test_parse_agrees_with_argparse_or_declines(parse_corpus, oracle_parser):
+    assert len(parse_corpus) > 3000
+    assert _parse_mismatches(oracle_parser, parse_corpus) == []
+
+
+def test_parse_takes_every_accepted_reference_argv(oracle_parser):
+    requests = json.loads(REFERENCE.read_text())["requests"].values()
+    taken = 0
+    for entry in requests:
+        for argv in (list(entry["argv"]), list(entry["argv"]) + ["--json"]):
+            if _has_dash_value(argv) or _argparse_vars(oracle_parser, argv) is None:
+                continue
+            assert cli_mod._parse(argv) is not None, argv
+            taken += 1
+    assert taken > 600
+
+
+def test_parse_oracle_catches_an_int_option_left_a_string(
+        monkeypatch, parse_corpus, oracle_parser):
+    options = cli_mod.COMMANDS["witness"][1]
+    monkeypatch.setitem(options, "--e", options["--e"]._replace(type=str))
+    mismatches = _parse_mismatches(oracle_parser, parse_corpus)
+    assert mismatches and {argv[0] for argv in mismatches} == {"witness"}
 
 
 def test_help_is_not_an_error():
@@ -544,3 +676,16 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == EXIT_PASS, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["payload"]["unit_regular_set"] == [0, 1, 3]
+
+
+def test_closed_stdout_ends_quietly_with_the_contract_code():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringlab", "classify", "--ring", "Z2", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and proc.stderr == ""
+    assert proc.returncode == EXIT_PASS

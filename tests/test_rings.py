@@ -221,7 +221,7 @@ def test_untabled_carrier_matches_tabled_snapshot(rings):
         assert big.neg(a) == snap.neg(a)
 
 
-def test_matrix_inverse_over_noncommutative_base_falls_back_to_scan(rings):
+def test_m1_over_noncommutative_base_inverts_through_its_base(rings):
     inner = rings("T2(Z2)")
     assert not inner.is_commutative
     m = MatrixRing(1, inner)
