@@ -118,10 +118,7 @@ def corner_ring(ring: FiniteRing, idem: Idempotent) -> CornerRing:
     """Corner eRe for a validated idempotent; memoised on the ring."""
     corners = ring.cached("corners", dict)
     if idem not in corners:
-        ring.check_element(idem.e)
-        if ring.mul(idem.e, idem.e) != idem.e:
-            raise ValueError(f"{ring.element_repr(idem.e)} is not idempotent")
-        if ring.sub(ring.one, idem.e) != idem.f:
+        if as_idempotent(ring, idem.e) != idem:
             raise ValueError("complement does not match 1 - e")
         corners[idem] = CornerRing(ring, idem)
     return corners[idem]

@@ -96,15 +96,20 @@ def one_sided_unit_regular_witness(ring: FiniteRing, a: int,
     ring.check_element(a)
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    one = ring.one
     for u in ring.elements():
-        if ring.mul3(a, u, a) != a:
-            continue
-        for v in ring.elements():
-            prod = ring.mul(u, v) if side == "right" else ring.mul(v, u)
-            if prod == one:
+        if ring.mul3(a, u, a) == a:
+            v = one_sided_partner(ring, u, side)
+            if v is not None:
                 return (u, v)
     return None
+
+
+def one_sided_partner(ring: FiniteRing, u: int, side: str) -> Optional[int]:
+    """First v in ascending code order with u*v = 1 (side "right") or
+    v*u = 1 (side "left"), or None; a scan of every element."""
+    if side == "right":
+        return ring.find_left(u, ring.elements(), ring.one)
+    return ring.find_right(ring.elements(), u, ring.one)
 
 
 def zero_divisor_status(ring: FiniteRing, b: int) -> ZeroDivisorStatus:

@@ -30,8 +30,8 @@ from .theorem import (
     InconsistencyError,
     corner_verdicts,
     extract_corner_witness,
-    PreconditionError,
     require_consistent,
+    resolve_partner,
     verify_ur_inheritance,
 )
 from .shift import run_shift_demo
@@ -177,9 +177,7 @@ def witness_payload(ring: FiniteRing, e: int, a: int, b: int, u: int,
             ring.check_element(code)
     idem = as_idempotent(ring, e)
     if v is None:
-        v = ring.inverse_of(u)
-        if v is None:
-            raise PreconditionError("u_not_invertible", f"u={u} is not a unit")
+        v = resolve_partner(ring, u, ("left", "right"))
     witness = extract_corner_witness(ring, idem, a, b, u, v)
     payload = {
         "ring": ring.spec_string,

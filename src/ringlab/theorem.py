@@ -36,7 +36,13 @@ are the tests' oracle of the sweep.
 Witness recovery goes the other way: from a unit-regularity equation for
 a + b in R it rebuilds a corner witness u' = e(u - u*b*u)e, v' = e*v*e and
 replays every identity of the derivation on the actual carrier, tagging the
-subset that the hypotheses in force actually guarantee.
+subset that the hypotheses in force actually guarantee. The two-sided
+recovery and its one-sided variant are one path, _extract, told which sides
+of u's inverse are in force: each hypothesis is checked once, in one order,
+and a failed one raises PreconditionError naming it. A partner v that the
+caller leaves out comes from resolve_partner: the ring's inverse_of for
+both sides, else the first one-sided inverse of a scan of every element
+(regularity.one_sided_partner, which the one-sided search runs too).
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from typing import Iterable, Iterator, Optional
 
 from .corners import Idempotent, as_idempotent, complement, corner_ring, idempotents
 from .regularity import (
+    one_sided_partner,
     unit_regular_witness,
     unit_regular_set,
     is_unit_regular_ring,
@@ -349,6 +356,10 @@ _PEIRCE_KEYS = (
 _RIGHT_KEYS = _PEIRCE_KEYS + ("(1-bu)f=0", "u'v'=e")
 _LEFT_KEYS = _PEIRCE_KEYS + ("e(1-ub)=1-ub", "v'u'=e")
 
+# What a recovery promises, by the sides of u's inverse in force.
+_GUARANTEED = {("left", "right"): _WITNESS_CHECK_KEYS,
+               ("right",): _RIGHT_KEYS, ("left",): _LEFT_KEYS}
+
 
 @dataclass
 class CornerWitness:
@@ -384,30 +395,6 @@ class CornerWitness:
         }
 
 
-def _witness_inputs(ring: FiniteRing, idem: Idempotent, a: int, b: int, u: int,
-                    v: Optional[int]):
-    # codes first: a bad code is unusable input before any hypothesis fails
-    ring.check_element(u)
-    if v is not None:
-        ring.check_element(v)
-    # a is in eRe exactly when eae = a; fRf itself is needed for b's zero divisors
-    ff = corner_ring(ring, complement(ring, idem))
-    if not ring.contains(a) or ring.mul3(idem.e, a, idem.e) != a:
-        raise PreconditionError(
-            "a_not_in_corner",
-            f"{ring.element_repr(a)} is not in the corner at e={idem.e}")
-    if not ff.contains(b):
-        raise PreconditionError(
-            "b_not_in_complement_corner",
-            f"{ring.element_repr(b)} is not in the corner at f={idem.f}")
-    x = ring.add(a, b)
-    if ring.mul3(x, u, x) != x:
-        raise PreconditionError(
-            "middle_identity_fails",
-            f"(a+b)u(a+b) != a+b for a={a}, b={b}, u={u}")
-    return ff
-
-
 def _replay_checks(ring: FiniteRing, idem: Idempotent, a: int, b: int,
                    u: int, v: int) -> tuple[int, int, dict[str, bool]]:
     e, f = idem.e, idem.f
@@ -436,6 +423,67 @@ def _replay_checks(ring: FiniteRing, idem: Idempotent, a: int, b: int,
     return u_prime, v_prime, checks
 
 
+def resolve_partner(ring: FiniteRing, u: int, sides: tuple[str, ...]) -> int:
+    """u's inverse on the sides in force: the two-sided inverse for
+    ("left", "right"), else the first one-sided partner in code order."""
+    if len(sides) == 2:
+        v = ring.inverse_of(u)
+        if v is None:
+            raise PreconditionError("u_not_invertible", f"u={u} is not a unit")
+        return v
+    v = one_sided_partner(ring, u, sides[0])
+    if v is None:
+        raise PreconditionError("no_partner_on_side", f"u={u} has no {sides[0]} inverse")
+    return v
+
+
+def _extract(ring: FiniteRing, idem: Idempotent, a: int, b: int, u: int,
+             v: Optional[int], sides: tuple[str, ...]) -> CornerWitness:
+    """The recovery with u's inverse in force on sides: ("left", "right") or
+    one side. The checks run in one order: the codes of u and v, a in eRe,
+    b in fRf, the middle identity, b's zero divisors on each side (left
+    first), and then u's partner when v is None, or else the sandwich
+    condition of each side (right first)."""
+    # codes first: a bad code is unusable input before any hypothesis fails
+    ring.check_element(u)
+    if v is not None:
+        ring.check_element(v)
+    # a is in eRe exactly when eae = a; fRf itself is needed for b's zero divisors
+    e, f = idem.e, idem.f
+    ff = corner_ring(ring, complement(ring, idem))
+    if not ring.contains(a) or ring.mul3(e, a, e) != a:
+        raise PreconditionError(
+            "a_not_in_corner", f"{ring.element_repr(a)} is not in the corner at e={e}")
+    if not ff.contains(b):
+        raise PreconditionError(
+            "b_not_in_complement_corner",
+            f"{ring.element_repr(b)} is not in the corner at f={f}")
+    x = ring.add(a, b)
+    if ring.mul3(x, u, x) != x:
+        raise PreconditionError(
+            "middle_identity_fails", f"(a+b)u(a+b) != a+b for a={a}, b={b}, u={u}")
+    status = zero_divisor_status(ff, b)
+    for side in sides:
+        if getattr(status, side):
+            raise PreconditionError(
+                f"b_{side}_zero_divisor",
+                f"b={b} is a {side} zero divisor of the corner at f={f}")
+    if v is None:
+        v = resolve_partner(ring, u, sides)
+    else:
+        for side in reversed(sides):
+            if side == "right":
+                defect, name = ring.mul(ring.sub(ring.mul(u, v), ring.one), e), "(uv-1)e"
+            else:
+                defect, name = ring.mul(e, ring.sub(ring.mul(v, u), ring.one)), "e(vu-1)"
+            if defect != ring.zero:
+                raise PreconditionError(
+                    f"{side}_inverse_condition_fails", f"{name} != 0 for u={u}, v={v}")
+    u_prime, v_prime, checks = _replay_checks(ring, idem, a, b, u, v)
+    return CornerWitness(u_prime=u_prime, v_prime=v_prime, checks=checks,
+                         guaranteed=_GUARANTEED[sides])
+
+
 def extract_corner_witness(ring: FiniteRing, idem: Idempotent, a: int, b: int,
                            u: int, v: Optional[int] = None) -> CornerWitness:
     """Rebuild a unit-regularity witness for a inside eRe from one for a+b.
@@ -446,33 +494,7 @@ def extract_corner_witness(ring: FiniteRing, idem: Idempotent, a: int, b: int,
     conditions (uv-1)e = 0 and e(vu-1) = 0 are required of the pair, which
     is all the reconstruction consumes.
     """
-    ff = _witness_inputs(ring, idem, a, b, u, v)
-    status = zero_divisor_status(ff, b)
-    if status.left:
-        raise PreconditionError(
-            "b_left_zero_divisor",
-            f"b={b} is a left zero divisor of the corner at f={idem.f}")
-    if status.right:
-        raise PreconditionError(
-            "b_right_zero_divisor",
-            f"b={b} is a right zero divisor of the corner at f={idem.f}")
-    if v is None:
-        v = ring.inverse_of(u)
-        if v is None:
-            raise PreconditionError("u_not_invertible", f"u={u} is not a unit")
-    else:
-        e = idem.e
-        uv_defect = ring.mul(ring.sub(ring.mul(u, v), ring.one), e)
-        vu_defect = ring.mul(e, ring.sub(ring.mul(v, u), ring.one))
-        if uv_defect != ring.zero:
-            raise PreconditionError(
-                "right_inverse_condition_fails", f"(uv-1)e != 0 for u={u}, v={v}")
-        if vu_defect != ring.zero:
-            raise PreconditionError(
-                "left_inverse_condition_fails", f"e(vu-1) != 0 for u={u}, v={v}")
-    u_prime, v_prime, checks = _replay_checks(ring, idem, a, b, u, v)
-    return CornerWitness(u_prime=u_prime, v_prime=v_prime, checks=checks,
-                         guaranteed=_WITNESS_CHECK_KEYS)
+    return _extract(ring, idem, a, b, u, v, ("left", "right"))
 
 
 def extract_one_sided_corner_witness(ring: FiniteRing, idem: Idempotent,
@@ -487,42 +509,7 @@ def extract_one_sided_corner_witness(ring: FiniteRing, idem: Idempotent,
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    ff = _witness_inputs(ring, idem, a, b, u, v)
-    status = zero_divisor_status(ff, b)
-    if side == "right" and status.right:
-        raise PreconditionError(
-            "b_right_zero_divisor",
-            f"b={b} is a right zero divisor of the corner at f={idem.f}")
-    if side == "left" and status.left:
-        raise PreconditionError(
-            "b_left_zero_divisor",
-            f"b={b} is a left zero divisor of the corner at f={idem.f}")
-    if v is None:
-        one = ring.one
-        for cand in ring.elements():
-            prod = ring.mul(u, cand) if side == "right" else ring.mul(cand, u)
-            if prod == one:
-                v = cand
-                break
-        if v is None:
-            raise PreconditionError(
-                "no_partner_on_side", f"u={u} has no {side} inverse")
-    else:
-        e = idem.e
-        if side == "right":
-            defect = ring.mul(ring.sub(ring.mul(u, v), ring.one), e)
-            if defect != ring.zero:
-                raise PreconditionError(
-                    "right_inverse_condition_fails", f"(uv-1)e != 0 for u={u}, v={v}")
-        else:
-            defect = ring.mul(e, ring.sub(ring.mul(v, u), ring.one))
-            if defect != ring.zero:
-                raise PreconditionError(
-                    "left_inverse_condition_fails", f"e(vu-1) != 0 for u={u}, v={v}")
-    u_prime, v_prime, checks = _replay_checks(ring, idem, a, b, u, v)
-    guaranteed = _RIGHT_KEYS if side == "right" else _LEFT_KEYS
-    return CornerWitness(u_prime=u_prime, v_prime=v_prime, checks=checks,
-                         guaranteed=guaranteed)
+    return _extract(ring, idem, a, b, u, v, (side,))
 
 
 @dataclass

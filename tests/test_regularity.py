@@ -12,6 +12,8 @@ import ringlab.regularity as regularity_mod
 from ringlab import (
     CURATED_FAMILY,
     RegularityKind,
+    TableRing,
+    ZmodRing,
     build_ring,
     classify,
     corner_ring,
@@ -24,6 +26,7 @@ from ringlab import (
     unit_regular_witness,
     zero_divisor_status,
 )
+from ringlab.regularity import one_sided_partner
 
 UR_SETS = {
     "Z4": (0, 1, 3),
@@ -134,6 +137,28 @@ def test_regular_collapses_to_unit_regular_on_rings_and_corners(rings, spec):
         for a in carrier.elements():
             if a not in unit_regular:
                 assert regular_witness(carrier, a) is None
+
+
+def test_one_sided_partner_follows_its_side():
+    # 3*1 = 1 is injected: 3 has the right inverses 1 and 3, the left one 3
+    ring = TableRing.from_ring(ZmodRing(4), override_mul={(3, 1): 1})
+    assert one_sided_partner(ring, 3, "right") == 1
+    assert one_sided_partner(ring, 3, "left") == 3
+    # 2*3 = 3 as well, so 3 is the first middle term of a = 2: 2*3*2 = 3*2 = 2
+    ring = TableRing.from_ring(ZmodRing(4), override_mul={(3, 1): 1, (2, 3): 3})
+    assert one_sided_unit_regular_witness(ring, 2, "right") == (3, 1)
+    assert one_sided_unit_regular_witness(ring, 2, "left") == (3, 3)
+
+
+@pytest.mark.parametrize("spec", ["T2(Z8)", "M2(Z2)"])
+def test_one_sided_partner_matches_a_plain_scan(rings, spec):
+    ring = rings(spec)
+    one, mul = ring.one, ring.mul
+    for u in ring.elements():
+        right = next((v for v in ring.elements() if mul(u, v) == one), None)
+        left = next((v for v in ring.elements() if mul(v, u) == one), None)
+        assert one_sided_partner(ring, u, "right") == right
+        assert one_sided_partner(ring, u, "left") == left
 
 
 def test_one_sided_rejects_bad_side(rings):

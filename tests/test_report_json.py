@@ -3,10 +3,12 @@
 emit_report writes every scalar through the C encoder and only the
 indentation in Python, so each test here compares bytes with the stdlib's
 indented encoder: on seeded random documents, on hand-picked shapes that
-the writer treats specially, and on the documents real requests produce.
+the writer treats specially, and on the documents real requests produce,
+whose payloads must also hash to the sha256 in perfbench/reference.json.
 """
 
 import enum
+import hashlib
 import json
 import random
 from collections import OrderedDict
@@ -217,14 +219,19 @@ def test_unencodable_document_raises_like_the_oracle(doc):
 
 def test_every_reference_request_emits_the_oracle_bytes():
     requests = json.loads(REFERENCE.read_text())["requests"]
-    compared = 0
+    compared = hashed = 0
     for name, entry in requests.items():
         code, doc = run_command(list(entry["argv"]) + ["--json"])
         assert code == entry["exit"], name
+        # the payload bytes are pinned too, hashed as perfbench/worker.py does
+        if entry["sha256"] is not None:
+            payload = json.dumps(doc["payload"], sort_keys=True).encode("utf-8")
+            assert hashlib.sha256(payload).hexdigest() == entry["sha256"], name
+            hashed += 1
         if doc is not None:
             assert emit_report(doc, "json") == oracle(doc), name
             compared += 1
-    assert compared > 200
+    assert compared > 200 and hashed > 200
 
 
 def _broken_z4(text, size_cap):

@@ -382,9 +382,16 @@ PRECONDITION_CASES = [
     ("T2(Z2)", dict(e=4, a=4, b=1, u=5, v=7), "left_inverse_condition_fails"),
 ]
 
+# Two hypotheses fail at once: u = 9 is no unit of Z12, and b = 0 is a zero
+# divisor of fRf on both sides. b's zero divisors are refused first, the
+# left one before the right one.
+BOTH_FAIL = ("Z12", dict(e=9, a=9, b=0, u=9), "b_left_zero_divisor")
+PRECONDITION_CASES.append(BOTH_FAIL)
+
 
 @pytest.mark.parametrize("spec,kwargs,reason", PRECONDITION_CASES,
-                         ids=[c[2] for c in PRECONDITION_CASES])
+                         ids=[c[2] if c is not BOTH_FAIL else "zero_divisor_before_non_unit"
+                              for c in PRECONDITION_CASES])
 def test_two_sided_precondition_failures(rings, spec, kwargs, reason):
     ring = rings(spec)
     kwargs = dict(kwargs)
@@ -424,11 +431,37 @@ def test_one_sided_precondition_failures(rings):
         extract_one_sided_corner_witness(z12, as_idempotent(z12, 9),
                                          a=9, b=0, u=1, side="right")
     assert exc.value.reason == "b_right_zero_divisor"
+    spec, kwargs, _ = BOTH_FAIL
+    kwargs = dict(kwargs)
+    ring = rings(spec)
+    idem = as_idempotent(ring, kwargs.pop("e"))
+    for side in ("right", "left"):
+        with pytest.raises(PreconditionError) as exc:
+            extract_one_sided_corner_witness(ring, idem, side=side, **kwargs)
+        assert exc.value.reason == f"b_{side}_zero_divisor"
     z6 = rings("Z6")
     with pytest.raises(PreconditionError) as exc:
         extract_one_sided_corner_witness(z6, as_idempotent(z6, 3),
                                          a=0, b=4, u=4, side="right")
     assert exc.value.reason == "no_partner_on_side"
+
+
+def test_one_sided_recovery_takes_the_partner_of_its_own_side(monkeypatch):
+    # 3*1 = 1 is injected: 3 has the right inverses 1 and 3, the left one 3
+    ring = TableRing.from_ring(build_ring("Z4"), override_mul={(3, 1): 1})
+    idem = as_idempotent(ring, 1)
+    replay, replayed = theorem_mod._replay_checks, []
+
+    def spy(ring, idem, a, b, u, v):
+        replayed.append(v)
+        return replay(ring, idem, a, b, u, v)
+
+    monkeypatch.setattr(theorem_mod, "_replay_checks", spy)
+    # the middle identity 1*3*1 = 1 holds: 1*3 = 3, and 3*1 = 1 is injected
+    for side in ("right", "left"):
+        w = extract_one_sided_corner_witness(ring, idem, a=1, b=0, u=3, side=side)
+        assert w.guaranteed_ok
+    assert replayed == [1, 3]
 
 
 def test_extraction_rejects_out_of_range_middle_term(rings):
