@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .corners import as_idempotent, idempotents
-from .regularity import classify, unit_regular_set, RegularityKind
+from .regularity import unit_regular_set, RegularityKind
 from .rings import DEFAULT_AXIOM_CAP, FiniteRing, check_ring_axioms
 from .theorem import (
     CONDITION_LABELS,
@@ -81,36 +81,42 @@ def payload_bytes(doc: dict) -> bytes:
 
 
 def classify_payload(ring: FiniteRing) -> tuple[dict, bool]:
+    """Counts of regularity.classify's kinds over the carrier and, up to
+    _ELEMENT_LISTING_CAP elements, the listings; above it none is built.
+
+    Each element's record reads its memoised unit_regular_witness pair, as
+    classify does: with a pair, a is unit regular with t = u; without one,
+    it is not regular. Reprs come from element_reprs().
+    """
+    ur_set = unit_regular_set(ring)
     kinds: dict[str, int] = {kind.value: 0 for kind in RegularityKind}
-    elements = []
-    for a in ring.elements():
-        witness = classify(ring, a)
-        kinds[witness.kind.value] += 1
-        elements.append({
-            "code": a,
-            "repr": ring.element_repr(a),
-            "kind": witness.kind.value,
-            "t": witness.t,
-            "u": witness.u,
-            "u_inv": witness.u_partner,
-        })
-    listing = ring.size <= _ELEMENT_LISTING_CAP
+    kinds[RegularityKind.UNIT_REGULAR.value] = len(ur_set)
+    kinds[RegularityKind.NOT_REGULAR.value] = ring.size - len(ur_set)
     payload = {
         "ring": ring.spec_string,
         "size": ring.size,
-        "units": [[u, u_inv] for u, u_inv in ring.unit_pairs()] if listing else None,
         "unit_count": len(ring.units()),
-        "idempotents": [idem.e for idem in idempotents(ring)] if listing else None,
         "idempotent_count": len(idempotents(ring)),
-        "unit_regular_set": list(unit_regular_set(ring)) if listing else None,
         # classify's kinds: an element is regular when it is unit regular
-        "regular_set": list(unit_regular_set(ring)) if listing else None,
-        "unit_regular_count": kinds[RegularityKind.UNIT_REGULAR.value],
-        "regular_count": ring.size - kinds[RegularityKind.NOT_REGULAR.value],
-        "is_unit_regular_ring": kinds[RegularityKind.UNIT_REGULAR.value] == ring.size,
+        "unit_regular_count": len(ur_set),
+        "regular_count": len(ur_set),
+        "is_unit_regular_ring": len(ur_set) == ring.size,
         "kinds": kinds,
-        "elements": elements if listing else None,
+        "units": None, "idempotents": None, "unit_regular_set": None,
+        "regular_set": None, "elements": None,
     }
+    if ring.size <= _ELEMENT_LISTING_CAP:
+        pairs = ring.cached("unit_regular_witness", dict)
+        ur, nr = RegularityKind.UNIT_REGULAR.value, RegularityKind.NOT_REGULAR.value
+        payload.update(
+            units=[[u, u_inv] for u, u_inv in ring.unit_pairs()],
+            idempotents=[idem.e for idem in idempotents(ring)],
+            unit_regular_set=list(ur_set),
+            regular_set=list(ur_set),
+            elements=[{"code": a, "repr": r, "kind": ur, "t": p[0], "u": p[0], "u_inv": p[1]}
+                      if (p := pairs[a]) else
+                      {"code": a, "repr": r, "kind": nr, "t": None, "u": None, "u_inv": None}
+                      for a, r in zip(ring.elements(), ring.element_reprs())])
     return payload, True
 
 

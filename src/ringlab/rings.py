@@ -6,10 +6,14 @@ upper-triangular matrix rings over any base, direct products, and raw Cayley
 tables. A carrier of at most _TABLE_THRESHOLD elements fills its Cayley
 tables when a sweep over it begins (FiniteRing.tabulate), and a part of at
 most _LIST_ROWS elements when the ring built on it is; the tables are built
-structurally from the tables of the parts and stored as compact array rows
-above _LIST_ROWS elements. Any other op evaluates structurally per call.
+structurally from the tables of the parts, a whole row at a time, and stored
+as compact array rows above _LIST_ROWS elements. A square ring's mul rows
+sum slot rows that _gather takes from byte strings with bytes.translate,
+falling back to a list gather only for an index wider than a byte. Any
+other op evaluates structurally per call. element_reprs() lists every
+element's repr once per ring, from the listings of the parts.
 Arithmetic is fixed at construction; derived sweeps (units,
-idempotents, corners, regularity witnesses) are memoised lazily on
+idempotents, corners, regularity witnesses, axiom reports) are memoised lazily on
 the instance and freed with it. Every derived sweep is deterministic. The
 exhaustive searches read products through the kernels of FiniteRing, which
 index the rows of a filled mul table and call mul otherwise; units() finds
@@ -91,6 +95,24 @@ def _summed_rows(parts: list[list[int]], size: int) -> Iterable[bytes]:
     """
     nbytes = size * array(_row_code(size)).itemsize
     return (sum(ints).to_bytes(nbytes, sys.byteorder) for ints in product(*parts))
+
+
+def _gather(values: Sequence[int], index: bytes | list[int], size: int) -> int:
+    """The row int of values[i] for each i of index, as _row_int makes it.
+
+    A bytes index, whose positions and values all fit a byte, is gathered
+    in C by bytes.translate; above 256 elements one strided slice widens
+    the result to 'H' fields, each byte landing in its field's low byte. A
+    list index is gathered entry by entry.
+    """
+    if isinstance(index, list):
+        return _row_int(map(values.__getitem__, index), size)
+    row = index.translate(bytes(values).ljust(256, b"\0"))
+    if size > 256:
+        wide = bytearray(2 * size)
+        wide[sys.byteorder == "big"::2] = row
+        row = wide
+    return int.from_bytes(row, sys.byteorder)
 
 
 def _pair_rows(rows1: Sequence[Sequence[int]],
@@ -390,6 +412,13 @@ class FiniteRing:
     def element_repr(self, x: int) -> str:
         return str(x)
 
+    def element_reprs(self) -> Sequence[str]:
+        """element_repr of every element, in elements() order, cached."""
+        return self.cached("element_reprs", self._element_reprs)
+
+    def _element_reprs(self) -> Sequence[str]:
+        return tuple(map(self.element_repr, self.elements()))
+
     @property
     def spec_string(self) -> str:
         return f"ring{self.size}"
@@ -568,13 +597,30 @@ class _SquareRing(FiniteRing):
         the run. For each run and each of its B**w digit patterns, one int
         row holds that run's share of every entry; a table row adds one
         share per run.
+
+        A slot row is gathered, by _gather, from entry(xs, ys) for each of
+        the B**|qs| patterns ys, computed once per (xs, |qs|), through the
+        column of every b's digits at qs packed into one index. That column
+        is bytes, summed from the byte columns of single digits as ints
+        with no carry, when B**|qs| fits a byte, and a list otherwise. The
+        gathered row holds unweighted base codes; times the slot's weight,
+        its entries stay codes of the carrier, so no carry crosses a field.
         """
         B, n, m = self.base.size, self.size, len(self._slots)
-        # digit p of every code b, then b's digits at qs packed, per qs
-        digits = [[d for d in range(B) for _ in range(B ** (m - 1 - p))] * B ** p
+        # digit p of every code b, as bytes; then b's digits at qs packed, per qs
+        digits = [b"".join(bytes((d,)) * B ** (m - 1 - p) for d in range(B)) * B ** p
                   for p in range(m)]
-        columns: dict[tuple[int, ...], list[int]] = {}
+        columns: dict[tuple[int, ...], bytes | list[int]] = {}
+        values: dict[tuple[tuple[int, ...], int], list[int]] = {}  # (xs, |qs|) -> entries
         slot_rows: dict[tuple[int, tuple[int, ...]], int] = {}  # (p, xs) -> int row
+
+        def column(qs: tuple[int, ...]) -> bytes | list[int]:
+            w = len(qs)
+            if B ** w <= 256:  # each packed index fits its byte
+                return sum(int.from_bytes(digits[q], "big") * B ** (w - 1 - i)
+                           for i, q in enumerate(qs)).to_bytes(n, "big")
+            return list(map(self._pack, zip(*(digits[q] for q in qs))))
+
         parts = []
         for width, slots in runs:
             shares = []
@@ -583,39 +629,40 @@ class _SquareRing(FiniteRing):
                 for p, ps, qs in slots:
                     xs = tuple(x[l] for l in ps)
                     if (p, xs) not in slot_rows:
+                        w = len(qs)
                         if qs not in columns:
-                            columns[qs] = list(map(self._pack, zip(*(digits[q] for q in qs))))
-                        weight = B ** (m - 1 - p)
-                        values = [entry(xs, ys) * weight
-                                  for ys in product(range(B), repeat=len(qs))]
-                        slot_rows[p, xs] = _row_int(map(values.__getitem__, columns[qs]), n)
+                            columns[qs] = column(qs)
+                        if (xs, w) not in values:
+                            values[xs, w] = [entry(xs, ys) for ys in product(range(B), repeat=w)]
+                        slot_rows[p, xs] = _gather(values[xs, w], columns[qs], n) * B ** (m - 1 - p)
                     share += slot_rows[p, xs]
                 shares.append(share)
             parts.append(shares)
         return _summed_rows(parts, n)
 
-    def _add_rows(self) -> Iterable:
-        """The additive group is the base's to the power of the slot count m,
-        in the same mixed-radix order. So the table of m slots is the pair
-        table of its first m // 2 slots and the rest, each built the same
-        way from the base's add rows."""
-        base_rows = self.base._tables()[0]
-        powers = {1: base_rows}
+    def _slot_power(self, rows: Sequence[Sequence[int]]) -> Iterable:
+        """The table on all m slots whose part on each slot is rows, a table
+        of the base or a list of one base row: the pair table of its first
+        m // 2 slots and the rest, each built the same way. The additive
+        group is the base's to the power m, in the same mixed-radix order,
+        so this pairs add tables, and neg rows as one-row tables."""
+        powers = {1: rows}
 
         def power(m: int) -> Sequence:
             if m not in powers:
-                rows = _pair_rows(power(m // 2), power(m - m // 2))
-                powers[m] = [array(_row_code(len(base_rows) ** m), row) for row in rows]
+                code = _row_code(len(rows[0]) ** m)
+                powers[m] = [array(code, row) for row in
+                             _pair_rows(power(m // 2), power(m - m // 2))]
             return powers[m]
 
         m = len(self._slots)
-        return base_rows if m == 1 else _pair_rows(power(m // 2), power(m - m // 2))
+        return rows if m == 1 else _pair_rows(power(m // 2), power(m - m // 2))
 
-    def _neg_row(self) -> bytes:
-        # one row, over b: a run of no slots of a
-        neg = self.base.neg
-        slots = [(p, (), (p,)) for p in range(len(self._slots))]
-        return next(self._slot_rows([(0, slots)], lambda xs, ys: neg(ys[0])))
+    def _add_rows(self) -> Iterable:
+        return self._slot_power(self.base._tables()[0])
+
+    def _neg_row(self) -> Sequence[int]:
+        return next(iter(self._slot_power([self.base._tables()[2]])))
 
     def _mul_rows(self) -> Iterable[bytes]:
         """Rows of the mul table, one run per matrix row.
@@ -649,6 +696,20 @@ class _SquareRing(FiniteRing):
         entry = self.base.element_repr
         return "[" + ",".join(
             "[" + ",".join(map(entry, row)) + "]" for row in self.decode(x)) + "]"
+
+    def _repr_template(self) -> str:
+        """element_repr as a %-template with one %s per slot, in slot order."""
+        zero = self.base.element_repr(self.base.zero).replace("%", "%%")
+        slots = set(self._slots)
+        return "[" + ",".join("[" + ",".join("%s" if (i, j) in slots else zero
+                                             for j in range(self.k)) + "]"
+                              for i in range(self.k)) + "]"
+
+    def _element_reprs(self) -> Sequence[str]:
+        # codes are mixed-radix over the slots, first slot most significant:
+        # the order of product
+        return tuple(map(self._repr_template().__mod__,
+                         product(self.base.element_reprs(), repeat=len(self._slots))))
 
 
 class MatrixRing(_SquareRing):
@@ -756,6 +817,10 @@ class ProductRing(FiniteRing):
     def element_repr(self, x: int) -> str:
         x1, x2 = self.decode(x)
         return f"({self.r1.element_repr(x1)},{self.r2.element_repr(x2)})"
+
+    def _element_reprs(self) -> Sequence[str]:
+        return tuple(map("(%s,%s)".__mod__,
+                         product(self.r1.element_reprs(), self.r2.element_reprs())))
 
     @property
     def spec_string(self) -> str:
@@ -880,9 +945,14 @@ def check_ring_axioms(ring: FiniteRing, cap: int = DEFAULT_AXIOM_CAP) -> AxiomRe
     counterexample or, finding none, proves the law. So only a law that
     fails, or whose proof rests on one that fails, costs a sweep of n^arity
     tuples. The cap bounds the carrier separately from the general
-    enumeration cap.
+    enumeration cap, and is checked before the report, memoised on the
+    ring, is read.
     """
     require_cap(ring.size, cap)
+    return ring.cached("axioms", lambda: _axiom_report(ring))
+
+
+def _axiom_report(ring: FiniteRing) -> AxiomReport:
     add, mul, neg, zero, one = ring.add, ring.mul, ring.neg, ring.zero, ring.one
     laws = (  # name, arity, fails, premises of the proof
         ("add_associative", 3, lambda a, b, c: add(add(a, b), c) != add(a, add(b, c)), ()),

@@ -571,6 +571,11 @@ class InheritanceReport:
 
 
 def verify_ur_inheritance(ring: FiniteRing) -> InheritanceReport:
+    """The inheritance report of every corner of ring, memoised on it."""
+    return ring.cached("inheritance", lambda: _inheritance_report(ring))
+
+
+def _inheritance_report(ring: FiniteRing) -> InheritanceReport:
     ambient_ur = is_unit_regular_ring(ring)
     ambient_set = set(unit_regular_set(ring))
     corners = []

@@ -24,6 +24,7 @@ import pytest
 
 import ringlab.cli as cli_mod
 import ringlab.report as report_mod
+import ringlab.rings as rings_mod
 import ringlab.theorem as theorem_mod
 from ringlab import (
     CURATED_FAMILY,
@@ -584,6 +585,38 @@ def test_classify_above_the_table_threshold_keeps_its_payload():
     digest = hashlib.sha256(json.dumps(doc["payload"], sort_keys=True).encode("utf-8"))
     assert digest.hexdigest() == (
         "95a1fb98c76faa727125ac622d5d3dee789276de902b99ed8a14fac470c59ffa")
+
+
+def test_classify_above_the_listing_cap_builds_no_repr(monkeypatch):
+    # 1,280 elements: counts only, so no record and no repr is built
+    ring = cli_mod.build_ring("M2(Z4)xZ5", DEFAULT_SIZE_CAP)
+
+    def refuse(*args):
+        raise AssertionError("a listing above the cap was built")
+
+    monkeypatch.setattr(ring, "element_repr", refuse)
+    monkeypatch.setattr(ring, "element_reprs", refuse)
+    monkeypatch.setattr(cli_mod, "build_ring", lambda text, size_cap: ring)
+    code, doc = run_command(["classify", "--ring", "M2(Z4)xZ5", "--json"])
+    assert code == EXIT_PASS and doc["payload"]["elements"] is None
+    digest = hashlib.sha256(json.dumps(doc["payload"], sort_keys=True).encode("utf-8"))
+    assert digest.hexdigest() == (
+        "4da0082df3f4234701aa6443dfd96b72a5f7ab9f93131b2515d26eb268d5f35f")
+
+
+def test_cached_ring_reuses_its_axiom_and_inheritance_reports(monkeypatch):
+    argv = ["verify-theorem", "--ring", "T2(Z3)", "--json"]
+    code, doc = run_command(argv)
+    first = payload_bytes(doc)
+    # each request gets its own dicts: editing one leaves the next intact
+    doc["payload"]["axioms"]["checks"].clear()
+    doc["payload"]["inheritance"]["corners"].clear()
+    calls = []
+    monkeypatch.setattr(rings_mod, "_row_proofs", lambda *args: calls.append("axioms"))
+    monkeypatch.setattr(theorem_mod, "_inheritance_report",
+                        lambda ring: calls.append("inheritance"))
+    code, doc = run_command(argv)
+    assert code == EXIT_PASS and calls == [] and payload_bytes(doc) == first
 
 
 def test_oversized_truncation_is_capped_in_bounded_time(capsys, schema):

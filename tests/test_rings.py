@@ -16,13 +16,14 @@ from ringlab import (
     ZmodRing,
     build_ring,
     check_ring_axioms,
+    classify,
     classify_payload,
     corner_ring,
     idempotents,
     witness_payload,
 )
 from ringlab.report import CURATED_FAMILY
-from ringlab.rings import FiniteRing, _additive_generators, _row_proofs
+from ringlab.rings import FiniteRing, _additive_generators, _gather, _row_int, _row_proofs
 
 # Rings small enough for the cubic axiom loops; every member of the curated
 # family qualifies.
@@ -365,6 +366,70 @@ def test_largest_square_add_table_matches_raw_add():
         assert list(ring._add_table[a]) == [raw_add(a, b) for b in codes], a
 
 
+@pytest.mark.parametrize("size", [200, 300], ids=["B", "H"])
+def test_gather_matches_a_plain_row_on_byte_and_list_indexes(size):
+    # a bytes index (positions and values below 256) takes bytes.translate,
+    # widened to 'H' fields above 256 elements; a list index reaches past 255
+    rnd = random.Random(size)
+    small = [rnd.randrange(256) for _ in range(27)]
+    index = bytes(rnd.randrange(len(small)) for _ in range(size))
+    assert _gather(small, index, size) == _row_int([small[i] for i in index], size)
+    wide = [rnd.randrange(size) for _ in range(289)]
+    index = [rnd.randrange(len(wide)) for _ in range(size)]
+    assert max(index) > 255
+    assert _gather(wide, index, size) == _row_int([wide[i] for i in index], size)
+
+
+@pytest.mark.parametrize("spec", ["T3(Z3)", "T2(Z10)", "M2(Z5)"])
+def test_widest_byte_gathers_match_raw_ops(spec):
+    # 'H' rows gathered from 27-, 100- and 25-code slot patterns; the full
+    # pairwise build would take too long, so 64 seeded rows of each table
+    ring = build_ring(spec)
+    ring._fill_tables()
+    codes = range(ring.size)
+    assert ring._mul_table[0].typecode == "H"
+    assert list(ring._neg_table) == [ring._raw_neg(a) for a in codes]
+    for a in random.Random(spec).sample(codes, 64):
+        assert list(ring._add_table[a]) == [ring._raw_add(a, b) for b in codes], a
+        assert list(ring._mul_table[a]) == [ring._raw_mul(a, b) for b in codes], a
+
+
+@pytest.mark.parametrize("spec", TABLED + ("Z1", "M2(Z1)", "T3(Z1)xZ2"))
+def test_element_reprs_match_element_repr(spec):
+    ring = build_ring(spec)
+    assert ring.element_reprs() == tuple(map(ring.element_repr, ring.elements()))
+    assert ring.element_reprs() is ring.element_reprs()
+
+
+def test_element_reprs_of_a_corner_match_element_repr(rings):
+    ring = rings("M2(Z2)")
+    corner = corner_ring(ring, idempotents(ring)[1])
+    assert corner.element_reprs() == tuple(map(corner.element_repr, corner.elements()))
+
+
+def test_element_reprs_oracle_catches_two_swapped_slots():
+    ring = build_ring("M2(Z3)")
+    template = ring._repr_template()
+    swapped = [template % (t[1], t[0], *t[2:])
+               for t in product(ring.base.element_reprs(), repeat=len(ring._slots))]
+    assert swapped != list(map(ring.element_repr, ring.elements()))
+
+
+def _classify_records(ring):
+    """classify_payload's element records, from classify and element_repr."""
+    return [{"code": a, "repr": ring.element_repr(a), "kind": w.kind.value,
+             "t": w.t, "u": w.u, "u_inv": w.u_partner}
+            for a in ring.elements() for w in (classify(ring, a),)]
+
+
+# every TABLED ring within the listing cap of 512 elements
+@pytest.mark.parametrize("spec", [s for s in TABLED if s != "Z2xT2(T2(Z2))"])
+def test_classify_records_match_classify_and_element_repr(spec):
+    ring = build_ring(spec)
+    assert ring.size <= 512
+    assert classify_payload(ring)[0]["elements"] == _classify_records(build_ring(spec))
+
+
 def _law_breaking_z4():
     z4 = ZmodRing(4)
     return (TableRing.from_ring(z4, override_mul={(3, 3): 0, (1, 2): 3}, label="mulZ4"),
@@ -541,6 +606,25 @@ def test_corrupted_multiplication_is_caught_with_counterexample(rings):
     for check in failed.values():
         assert check.counterexample is not None
         assert all(0 <= v < broken.size for v in check.counterexample)
+
+
+def test_axiom_report_is_memoised_and_a_snapshot_override_still_fails(monkeypatch):
+    ring = build_ring("Z4")
+    report = check_ring_axioms(ring)
+    proofs = 0
+
+    def counted(*args):
+        nonlocal proofs
+        proofs += 1
+        return _row_proofs(*args)
+
+    monkeypatch.setattr(rings_module, "_row_proofs", counted)
+    assert check_ring_axioms(ring) is report and proofs == 0
+    broken = TableRing.from_ring(ring, override_mul={(3, 3): 0})
+    failed = [c for c in check_ring_axioms(broken).checks if not c.ok]
+    assert proofs == 1 and failed and all(c.counterexample for c in failed)
+    with pytest.raises(SizeCapError):
+        check_ring_axioms(ring, cap=3)
 
 
 def test_corrupted_addition_is_caught(rings):
