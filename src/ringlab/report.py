@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .corners import as_idempotent, idempotents
-from .regularity import unit_regular_set, RegularityKind
+from .regularity import unit_regular_set, unit_regular_witness, RegularityKind
 from .rings import DEFAULT_AXIOM_CAP, FiniteRing, check_ring_axioms
 from .theorem import (
     CONDITION_LABELS,
@@ -84,9 +84,10 @@ def classify_payload(ring: FiniteRing) -> tuple[dict, bool]:
     """Counts of regularity.classify's kinds over the carrier and, up to
     _ELEMENT_LISTING_CAP elements, the listings; above it none is built.
 
-    Each element's record reads its memoised unit_regular_witness pair, as
-    classify does: with a pair, a is unit regular with t = u; without one,
-    it is not regular. Reprs come from element_reprs().
+    Each element's record reads its unit_regular_witness pair, as classify
+    does, a memo hit once unit_regular_set has run: with a pair, a is unit
+    regular with t = u; without one, it is not regular. Reprs come from
+    element_reprs().
     """
     ur_set = unit_regular_set(ring)
     kinds: dict[str, int] = {kind.value: 0 for kind in RegularityKind}
@@ -106,7 +107,6 @@ def classify_payload(ring: FiniteRing) -> tuple[dict, bool]:
         "regular_set": None, "elements": None,
     }
     if ring.size <= _ELEMENT_LISTING_CAP:
-        pairs = ring.cached("unit_regular_witness", dict)
         ur, nr = RegularityKind.UNIT_REGULAR.value, RegularityKind.NOT_REGULAR.value
         payload.update(
             units=[[u, u_inv] for u, u_inv in ring.unit_pairs()],
@@ -114,7 +114,7 @@ def classify_payload(ring: FiniteRing) -> tuple[dict, bool]:
             unit_regular_set=list(ur_set),
             regular_set=list(ur_set),
             elements=[{"code": a, "repr": r, "kind": ur, "t": p[0], "u": p[0], "u_inv": p[1]}
-                      if (p := pairs[a]) else
+                      if (p := unit_regular_witness(ring, a)) else
                       {"code": a, "repr": r, "kind": nr, "t": None, "u": None, "u_inv": None}
                       for a, r in zip(ring.elements(), ring.element_reprs())])
     return payload, True

@@ -8,9 +8,8 @@ tables when a sweep over it begins (FiniteRing.tabulate), and a part of at
 most _LIST_ROWS elements when the ring built on it is; the tables are built
 structurally from the tables of the parts, a whole row at a time, and stored
 as compact array rows above _LIST_ROWS elements. A square ring's mul rows
-sum slot rows that _gather takes from byte strings with bytes.translate,
-falling back to a list gather only for an index wider than a byte. Any
-other op evaluates structurally per call. element_reprs() lists every
+sum slot rows that _gather takes from byte strings with bytes.translate.
+Any other op evaluates structurally per call. element_reprs() lists every
 element's repr once per ring, from the listings of the parts.
 Arithmetic is fixed at construction; derived sweeps (units,
 idempotents, corners, regularity witnesses, axiom reports) are memoised lazily on
@@ -97,16 +96,13 @@ def _summed_rows(parts: list[list[int]], size: int) -> Iterable[bytes]:
     return (sum(ints).to_bytes(nbytes, sys.byteorder) for ints in product(*parts))
 
 
-def _gather(values: Sequence[int], index: bytes | list[int], size: int) -> int:
+def _gather(values: Sequence[int], index: bytes, size: int) -> int:
     """The row int of values[i] for each i of index, as _row_int makes it.
 
-    A bytes index, whose positions and values all fit a byte, is gathered
-    in C by bytes.translate; above 256 elements one strided slice widens
-    the result to 'H' fields, each byte landing in its field's low byte. A
-    list index is gathered entry by entry.
+    Every position and value fits a byte, so the gather runs in C by
+    bytes.translate; above 256 elements one strided slice widens the result
+    to 'H' fields, each byte landing in its field's low byte.
     """
-    if isinstance(index, list):
-        return _row_int(map(values.__getitem__, index), size)
     row = index.translate(bytes(values).ljust(256, b"\0"))
     if size > 256:
         wide = bytearray(2 * size)
@@ -602,24 +598,24 @@ class _SquareRing(FiniteRing):
         the B**|qs| patterns ys, computed once per (xs, |qs|), through the
         column of every b's digits at qs packed into one index. That column
         is bytes, summed from the byte columns of single digits as ints
-        with no carry, when B**|qs| fits a byte, and a list otherwise. The
-        gathered row holds unweighted base codes; times the slot's weight,
-        its entries stay codes of the carrier, so no carry crosses a field.
+        with no carry: a carrier within the table threshold has B**|qs| of
+        at most 100, so every index fits a byte. The gathered row holds
+        unweighted base codes; times the slot's weight, its entries stay
+        codes of the carrier, so no carry crosses a field.
         """
         B, n, m = self.base.size, self.size, len(self._slots)
         # digit p of every code b, as bytes; then b's digits at qs packed, per qs
         digits = [b"".join(bytes((d,)) * B ** (m - 1 - p) for d in range(B)) * B ** p
                   for p in range(m)]
-        columns: dict[tuple[int, ...], bytes | list[int]] = {}
+        columns: dict[tuple[int, ...], bytes] = {}
         values: dict[tuple[tuple[int, ...], int], list[int]] = {}  # (xs, |qs|) -> entries
         slot_rows: dict[tuple[int, tuple[int, ...]], int] = {}  # (p, xs) -> int row
 
-        def column(qs: tuple[int, ...]) -> bytes | list[int]:
+        def column(qs: tuple[int, ...]) -> bytes:
             w = len(qs)
-            if B ** w <= 256:  # each packed index fits its byte
-                return sum(int.from_bytes(digits[q], "big") * B ** (w - 1 - i)
-                           for i, q in enumerate(qs)).to_bytes(n, "big")
-            return list(map(self._pack, zip(*(digits[q] for q in qs))))
+            assert B ** w <= 256, "a packed index must fit its byte"
+            return sum(int.from_bytes(digits[q], "big") * B ** (w - 1 - i)
+                       for i, q in enumerate(qs)).to_bytes(n, "big")
 
         parts = []
         for width, slots in runs:

@@ -578,13 +578,18 @@ def test_large_dimension_over_the_zero_ring_classifies_in_bounded_time():
 
 
 def test_classify_above_the_table_threshold_keeps_its_payload():
-    # 1,296 elements, untabled: units() asks inverse_of for every element.
-    # The hash is of the payload as the benchmark worker hashes it.
-    code, doc = run_command(["classify", "--ring", "M2(Z6)", "--json"])
-    assert code == EXIT_PASS
-    digest = hashlib.sha256(json.dumps(doc["payload"], sort_keys=True).encode("utf-8"))
-    assert digest.hexdigest() == (
-        "95a1fb98c76faa727125ac622d5d3dee789276de902b99ed8a14fac470c59ffa")
+    # M2(Z6), 1,296 elements, untabled: units() asks inverse_of for every
+    # element. T2(T2(Z2)) (512) and T2(Z7) (343) fill their tables by byte
+    # gathers, over a nested base and into 'H' rows. Each hash is of the
+    # payload as the benchmark worker hashes it.
+    for spec, expected in (
+            ("M2(Z6)", "95a1fb98c76faa727125ac622d5d3dee789276de902b99ed8a14fac470c59ffa"),
+            ("T2(T2(Z2))", "7838ff6f273f7aeba0ec4ce0dd044a05e3e12210e01b9a78c0ff51f0e8789637"),
+            ("T2(Z7)", "09c73460d8653ddd9d2b7e2aa61607c326d54c93ff9ad387a9491af33f3cb1d9")):
+        code, doc = run_command(["classify", "--ring", spec, "--json"])
+        assert code == EXIT_PASS
+        digest = hashlib.sha256(json.dumps(doc["payload"], sort_keys=True).encode("utf-8"))
+        assert digest.hexdigest() == expected, spec
 
 
 def test_classify_above_the_listing_cap_builds_no_repr(monkeypatch):
