@@ -10,18 +10,25 @@ embedding report checks exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .rings import FiniteRing
+from .rings import FiniteRing, _Record, _Value, _set
 
 
-@dataclass(frozen=True)
-class Idempotent:
+class Idempotent(_Value):
     """An idempotent e together with its complement f = 1 - e."""
 
-    e: int
-    f: int
+    __slots__ = ("e", "f")
+
+    def __init__(self, e: int, f: int) -> None:
+        _set(self, "e", e)
+        _set(self, "f", f)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self.e == other.e and self.f == other.f
+
+    def __hash__(self) -> int:
+        return hash((self.e, self.f))
 
 
 def as_idempotent(ring: FiniteRing, e: int) -> Idempotent:
@@ -124,14 +131,23 @@ def corner_ring(ring: FiniteRing, idem: Idempotent) -> CornerRing:
     return corners[idem]
 
 
-@dataclass(frozen=True)
-class PeirceParts:
+class PeirceParts(_Value):
     """The four components exe, exf, fxe, fxf of one element."""
 
-    ee: int
-    ef: int
-    fe: int
-    ff: int
+    __slots__ = ("ee", "ef", "fe", "ff")
+
+    def __init__(self, ee: int, ef: int, fe: int, ff: int) -> None:
+        _set(self, "ee", ee)
+        _set(self, "ef", ef)
+        _set(self, "fe", fe)
+        _set(self, "ff", ff)
+
+    def __eq__(self, other: object) -> bool:
+        return (other.__class__ is self.__class__ and self.ee == other.ee
+                and self.ef == other.ef and self.fe == other.fe and self.ff == other.ff)
+
+    def __hash__(self) -> int:
+        return hash((self.ee, self.ef, self.fe, self.ff))
 
 
 def peirce_decompose(ring: FiniteRing, idem: Idempotent, x: int) -> PeirceParts:
@@ -150,19 +166,24 @@ def peirce_decompose(ring: FiniteRing, idem: Idempotent, x: int) -> PeirceParts:
     return parts
 
 
-@dataclass
-class CornerProductEmbedding:
+class CornerProductEmbedding(_Record):
     """Exhaustive check that (x, y) -> x + y embeds eRe x fRf into R."""
 
-    ring: str
-    e: int
-    f: int
-    pairs: list[tuple[int, int, int]]
-    injective: bool
-    additive: bool
-    multiplicative: bool
-    maps_identity_pair_to_one: bool
-    image_closed: bool
+    __slots__ = ("ring", "e", "f", "pairs", "injective", "additive", "multiplicative",
+                 "maps_identity_pair_to_one", "image_closed")
+
+    def __init__(self, ring: str, e: int, f: int, pairs: list[tuple[int, int, int]],
+                 injective: bool, additive: bool, multiplicative: bool,
+                 maps_identity_pair_to_one: bool, image_closed: bool) -> None:
+        self.ring = ring
+        self.e = e
+        self.f = f
+        self.pairs = pairs
+        self.injective = injective
+        self.additive = additive
+        self.multiplicative = multiplicative
+        self.maps_identity_pair_to_one = maps_identity_pair_to_one
+        self.image_closed = image_closed
 
     @property
     def ok(self) -> bool:

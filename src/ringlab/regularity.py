@@ -23,10 +23,9 @@ any table, and the tests run them as the oracle of the claim.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
-from .rings import FiniteRing
+from .rings import FiniteRing, _Value, _set
 
 
 class RegularityKind(enum.Enum):
@@ -37,8 +36,7 @@ class RegularityKind(enum.Enum):
     UNIT_REGULAR = "unit_regular"
 
 
-@dataclass(frozen=True)
-class RegularityWitness:
+class RegularityWitness(_Value):
     """Classification of one element with the middle term that proves it.
 
     t is a regularity middle term (a = a*t*a) when one exists. For the unit
@@ -46,18 +44,39 @@ class RegularityWitness:
     is its (one-sided) inverse.
     """
 
-    kind: RegularityKind
-    t: Optional[int] = None
-    u: Optional[int] = None
-    u_partner: Optional[int] = None
+    __slots__ = ("kind", "t", "u", "u_partner")
+
+    def __init__(self, kind: RegularityKind, t: Optional[int] = None,
+                 u: Optional[int] = None, u_partner: Optional[int] = None) -> None:
+        _set(self, "kind", kind)
+        _set(self, "t", t)
+        _set(self, "u", u)
+        _set(self, "u_partner", u_partner)
+
+    def __eq__(self, other: object) -> bool:
+        return (other.__class__ is self.__class__ and self.kind == other.kind
+                and self.t == other.t and self.u == other.u
+                and self.u_partner == other.u_partner)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.t, self.u, self.u_partner))
 
 
-@dataclass(frozen=True)
-class ZeroDivisorStatus:
+class ZeroDivisorStatus(_Value):
     """Whether b kills some nonzero element on the left or on the right."""
 
-    left: bool
-    right: bool
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: bool, right: bool) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other: object) -> bool:
+        return (other.__class__ is self.__class__ and self.left == other.left
+                and self.right == other.right)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     @property
     def clear(self) -> bool:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from itertools import product, repeat
 from operator import eq, itemgetter
@@ -67,6 +66,32 @@ class SizeCapError(Exception):
 def require_cap(cardinality: int, cap: int) -> None:
     if cardinality > cap:
         raise SizeCapError(cardinality, cap)
+
+
+# ringlab's records are plain classes with __slots__ and a hand-written
+# __init__; none is generated at import. A value type (a _Value) also
+# writes its own __eq__ and __hash__, by class and fields, and sets its
+# slots through _set, since it refuses assignment.
+
+_set = object.__setattr__
+
+
+class _Record:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _row_code(size: int) -> str:
@@ -583,32 +608,33 @@ class _SquareRing(FiniteRing):
     # _raw_* method computes, from the same base operations in the same
     # order; no entry is derived from others through a ring law.
 
-    def _slot_rows(self, runs, entry: Callable[[tuple, tuple], int]) -> Iterable[bytes]:
+    def _slot_rows(self, runs, entries: Callable[[tuple], bytes]) -> Iterable[bytes]:
         """Rows of a table computed slot by slot, as _summed_rows gives them.
 
-        Slot p of entry (a, b) is entry(xs, ys): xs the digits of a at
-        positions ps, ys the digits of b at positions qs. runs splits the
+        Slot p of entry (a, b) is entries(xs)[ys], with xs the digits of a at
+        positions ps and ys the digits of b at positions qs, |ps| = |qs|,
+        packed into one index, first digit most significant. runs splits the
         slots of a into runs of consecutive slots, each given as its length
         w and the (p, ps, qs) of the slots it determines, ps counted within
         the run. For each run and each of its B**w digit patterns, one int
         row holds that run's share of every entry; a table row adds one
         share per run.
 
-        A slot row is gathered, by _gather, from entry(xs, ys) for each of
-        the B**|qs| patterns ys, computed once per (xs, |qs|), through the
-        column of every b's digits at qs packed into one index. That column
-        is bytes, summed from the byte columns of single digits as ints
-        with no carry: a carrier within the table threshold has B**|qs| of
-        at most 100, so every index fits a byte. The gathered row holds
-        unweighted base codes; times the slot's weight, its entries stay
-        codes of the carrier, so no carry crosses a field.
+        A slot row is gathered, by _gather, from the B**|qs| entries(xs),
+        computed once per xs, through the column of every b's digits at qs
+        packed into one index. That column is bytes, summed from the byte
+        columns of single digits as ints with no carry: a carrier within
+        the table threshold has B**|qs| of at most 100, so every index fits
+        a byte. The gathered row holds unweighted base codes; times the
+        slot's weight, its entries stay codes of the carrier, so no carry
+        crosses a field.
         """
         B, n, m = self.base.size, self.size, len(self._slots)
         # digit p of every code b, as bytes; then b's digits at qs packed, per qs
         digits = [b"".join(bytes((d,)) * B ** (m - 1 - p) for d in range(B)) * B ** p
                   for p in range(m)]
         columns: dict[tuple[int, ...], bytes] = {}
-        values: dict[tuple[tuple[int, ...], int], list[int]] = {}  # (xs, |qs|) -> entries
+        values: dict[tuple[int, ...], bytes] = {}  # xs -> entries
         slot_rows: dict[tuple[int, tuple[int, ...]], int] = {}  # (p, xs) -> int row
 
         def column(qs: tuple[int, ...]) -> bytes:
@@ -625,12 +651,11 @@ class _SquareRing(FiniteRing):
                 for p, ps, qs in slots:
                     xs = tuple(x[l] for l in ps)
                     if (p, xs) not in slot_rows:
-                        w = len(qs)
                         if qs not in columns:
                             columns[qs] = column(qs)
-                        if (xs, w) not in values:
-                            values[xs, w] = [entry(xs, ys) for ys in product(range(B), repeat=w)]
-                        slot_rows[p, xs] = _gather(values[xs, w], columns[qs], n) * B ** (m - 1 - p)
+                        if xs not in values:
+                            values[xs] = entries(xs)
+                        slot_rows[p, xs] = _gather(values[xs], columns[qs], n) * B ** (m - 1 - p)
                     share += slot_rows[p, xs]
                 shares.append(share)
             parts.append(shares)
@@ -666,18 +691,28 @@ class _SquareRing(FiniteRing):
         The row-i slots of a*b depend only on the row-i slots of a, so each
         run is one matrix row, and its shares are the row-vector products
         r*b for every row r of base digits.
+
+        The dot products of one xs with every ys fold the terms left to
+        right as _raw_mul does, from 0 + x0*y0, one term per step: each
+        value so far v extends to add[v][mul[x][y]] for every digit y, the
+        base's mul row of x gathered through its add row of v by
+        bytes.translate. For k >= 2 a carrier within the table threshold
+        has a base of at most 10 elements (T2(Z10) has 1000), so base codes
+        fit a byte.
         """
+        add_rows, mul_rows, _ = self.base._tables()
         if self.k == 1:  # entry (a, b) is the base's 0 + ab: its + row of 0 after mul row a
-            add_rows, mul_rows, _ = self.base._tables()
             pack, compose = _row_ops(self.size)
             zero_row = pack(add_rows[0])
             return (compose(zero_row, pack(row)) for row in mul_rows)
-        add, mul, zero = self.base.add, self.base.mul, self.base.zero
+        adds = [bytes(row).ljust(256, b"\0") for row in add_rows]
+        muls = [bytes(row) for row in mul_rows]
+        start = bytes((self.base.zero,))
 
-        def dot(xs, ys):
-            acc = zero
-            for x, y in zip(xs, ys):
-                acc = add(acc, mul(x, y))
+        def dots(xs: tuple[int, ...]) -> bytes:
+            acc = start
+            for x in xs:
+                acc = b"".join(map(muls[x].translate, map(adds.__getitem__, acc)))
             return acc
 
         runs = []
@@ -686,7 +721,7 @@ class _SquareRing(FiniteRing):
             runs.append((len(run), [(p, tuple(l - run[0] for l, _ in self._mul_terms[p]),
                                       tuple(q for _, q in self._mul_terms[p]))
                                      for p in run]))
-        return self._slot_rows(runs, dot)
+        return self._slot_rows(runs, dots)
 
     def element_repr(self, x: int) -> str:
         entry = self.base.element_repr
@@ -883,18 +918,23 @@ class TableRing(FiniteRing):
         return self._label
 
 
-@dataclass
-class AxiomCheck:
-    name: str
-    ok: bool
-    counterexample: Optional[tuple[int, ...]]
+class AxiomCheck(_Record):
+    __slots__ = ("name", "ok", "counterexample")
+
+    def __init__(self, name: str, ok: bool,
+                 counterexample: Optional[tuple[int, ...]]) -> None:
+        self.name = name
+        self.ok = ok
+        self.counterexample = counterexample
 
 
-@dataclass
-class AxiomReport:
-    ring: str
-    ok: bool
-    checks: list[AxiomCheck]
+class AxiomReport(_Record):
+    __slots__ = ("ring", "ok", "checks")
+
+    def __init__(self, ring: str, ok: bool, checks: list[AxiomCheck]) -> None:
+        self.ring = ring
+        self.ok = ok
+        self.checks = checks
 
     def to_dict(self) -> dict:
         return {

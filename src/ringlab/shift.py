@@ -19,10 +19,9 @@ leftover columns as exceptions, so equal maps compare equal as values.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .rings import SizeCapError
+from .rings import SizeCapError, _Value, _set
 from .theorem import _mat2_mul, build_m2_scaffold
 
 # Largest truncation run_shift_demo accepts. The rank evidence is one
@@ -31,8 +30,7 @@ from .theorem import _mat2_mul, build_m2_scaffold
 MAX_TRUNCATION = 4096
 
 
-@dataclass(frozen=True)
-class BandOperator:
+class BandOperator(_Value):
     """Operator in normal form; build through from_parts or the factories.
 
     Direct construction bypasses canonicalization and is reserved for code
@@ -40,8 +38,19 @@ class BandOperator:
     on the parts and means equality of maps only for normal forms.
     """
 
-    diagonals: tuple[tuple[int, int], ...] = ()
-    exceptions: tuple[tuple[int, frozenset[int]], ...] = ()
+    __slots__ = ("diagonals", "exceptions")
+
+    def __init__(self, diagonals: tuple[tuple[int, int], ...] = (),
+                 exceptions: tuple[tuple[int, frozenset[int]], ...] = ()) -> None:
+        _set(self, "diagonals", diagonals)
+        _set(self, "exceptions", exceptions)
+
+    def __eq__(self, other: object) -> bool:
+        return (other.__class__ is self.__class__ and self.diagonals == other.diagonals
+                and self.exceptions == other.exceptions)
+
+    def __hash__(self) -> int:
+        return hash((self.diagonals, self.exceptions))
 
     @classmethod
     def from_parts(cls,

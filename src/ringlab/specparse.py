@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .rings import (
@@ -31,6 +30,8 @@ from .rings import (
     SizeCapError,
     TriangularRing,
     ZmodRing,
+    _Value,
+    _set,
     require_cap,
 )
 
@@ -62,27 +63,54 @@ class RingSpecError(ValueError):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class ZmodSpec:
-    n: int
+# Spec nodes key the ring cache, so each compares equal only within its own
+# class: MatrixSpec(2, Z2) and TriangularSpec(2, Z2) are different rings.
+class ZmodSpec(_Value):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        _set(self, "n", n)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.n,))
 
 
-@dataclass(frozen=True)
-class MatrixSpec:
-    k: int
-    inner: "RingSpec"
+class MatrixSpec(_Value):
+    __slots__ = ("k", "inner")
+
+    def __init__(self, k: int, inner: "RingSpec") -> None:
+        _set(self, "k", k)
+        _set(self, "inner", inner)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self.k == other.k and self.inner == other.inner
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.inner))
 
 
-@dataclass(frozen=True)
-class TriangularSpec:
-    k: int
-    inner: "RingSpec"
+class TriangularSpec(_Value):
+    # MatrixSpec's shape, but not its subclass: isinstance tells them apart
+    __slots__ = ("k", "inner")
+    __init__, __eq__, __hash__ = MatrixSpec.__init__, MatrixSpec.__eq__, MatrixSpec.__hash__
 
 
-@dataclass(frozen=True)
-class ProductSpec:
-    left: "RingSpec"
-    right: "RingSpec"
+class ProductSpec(_Value):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "RingSpec", right: "RingSpec") -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other: object) -> bool:
+        return (other.__class__ is self.__class__ and self.left == other.left
+                and self.right == other.right)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
 RingSpec = Union[ZmodSpec, MatrixSpec, TriangularSpec, ProductSpec]

@@ -47,7 +47,6 @@ both sides, else the first one-sided inverse of a scan of every element
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
@@ -59,7 +58,7 @@ from .regularity import (
     is_unit_regular_ring,
     zero_divisor_status,
 )
-from .rings import FiniteRing, MatrixRing, DEFAULT_SIZE_CAP
+from .rings import FiniteRing, MatrixRing, DEFAULT_SIZE_CAP, _Record
 
 CONDITION_LABELS = ("1", "2", "3", "3'", "4", "4'", "5")
 
@@ -231,17 +230,20 @@ def _corner_rows(ring: FiniteRing, sweeps: _Sweeps) -> dict[int, tuple[bool, ...
     return rows
 
 
-@dataclass
-class VerdictReport:
+class VerdictReport(_Record):
     """All condition values for one corner element, plus agreement status."""
 
-    ring: str
-    e: int
-    f: int
-    a: int
-    conditions: dict[str, bool]
-    witnesses: dict[str, Optional[dict]] = field(repr=False)
-    consistent: bool = True
+    __slots__ = ("ring", "e", "f", "a", "conditions", "witnesses", "consistent")
+
+    def __init__(self, ring: str, e: int, f: int, a: int, conditions: dict[str, bool],
+                 witnesses: dict[str, Optional[dict]], consistent: bool = True) -> None:
+        self.ring = ring
+        self.e = e
+        self.f = f
+        self.a = a
+        self.conditions = conditions
+        self.witnesses = witnesses
+        self.consistent = consistent
 
     def to_dict(self) -> dict:
         return {
@@ -361,8 +363,7 @@ _GUARANTEED = {("left", "right"): _WITNESS_CHECK_KEYS,
                ("right",): _RIGHT_KEYS, ("left",): _LEFT_KEYS}
 
 
-@dataclass
-class CornerWitness:
+class CornerWitness(_Record):
     """Recovered corner witness with every derivation identity replayed.
 
     checks records each identity as evaluated on the carrier; guaranteed
@@ -371,10 +372,14 @@ class CornerWitness:
     can be honest about what it did not establish.
     """
 
-    u_prime: int
-    v_prime: int
-    checks: dict[str, bool]
-    guaranteed: tuple[str, ...]
+    __slots__ = ("u_prime", "v_prime", "checks", "guaranteed")
+
+    def __init__(self, u_prime: int, v_prime: int, checks: dict[str, bool],
+                 guaranteed: tuple[str, ...]) -> None:
+        self.u_prime = u_prime
+        self.v_prime = v_prime
+        self.checks = checks
+        self.guaranteed = guaranteed
 
     @property
     def ok(self) -> bool:
@@ -512,16 +517,20 @@ def extract_one_sided_corner_witness(ring: FiniteRing, idem: Idempotent,
     return _extract(ring, idem, a, b, u, v, (side,))
 
 
-@dataclass
-class CornerInheritance:
+class CornerInheritance(_Record):
     """Per-idempotent summary of how unit regularity passes to the corner."""
 
-    e: int
-    f: int
-    corner_size: int
-    inclusion_ok: bool
-    corner_unit_regular: bool
-    constructive_ok: Optional[bool]
+    __slots__ = ("e", "f", "corner_size", "inclusion_ok", "corner_unit_regular",
+                 "constructive_ok")
+
+    def __init__(self, e: int, f: int, corner_size: int, inclusion_ok: bool,
+                 corner_unit_regular: bool, constructive_ok: Optional[bool]) -> None:
+        self.e = e
+        self.f = f
+        self.corner_size = corner_size
+        self.inclusion_ok = inclusion_ok
+        self.corner_unit_regular = corner_unit_regular
+        self.constructive_ok = constructive_ok
 
     def to_dict(self) -> dict:
         return {
@@ -534,8 +543,7 @@ class CornerInheritance:
         }
 
 
-@dataclass
-class InheritanceReport:
+class InheritanceReport(_Record):
     """Corner-by-corner unit-regularity inheritance for one ring.
 
     inclusion_ok per corner states that every element unit regular in eRe is
@@ -546,9 +554,13 @@ class InheritanceReport:
     inferred; otherwise it is None.
     """
 
-    ring: str
-    ambient_unit_regular: bool
-    corners: list[CornerInheritance]
+    __slots__ = ("ring", "ambient_unit_regular", "corners")
+
+    def __init__(self, ring: str, ambient_unit_regular: bool,
+                 corners: list[CornerInheritance]) -> None:
+        self.ring = ring
+        self.ambient_unit_regular = ambient_unit_regular
+        self.corners = corners
 
     @property
     def ok(self) -> bool:
@@ -615,8 +627,7 @@ def _mat2_mul(base, x, y):
     )
 
 
-@dataclass
-class M2ScaffoldReport:
+class M2ScaffoldReport(_Record):
     """The 2x2 construction that puts a regular base element into a corner.
 
     From s with s*t*s = s it forms a = [[s,0],[0,0]], u = [[t,1],[1,0]] and
@@ -628,16 +639,23 @@ class M2ScaffoldReport:
     whole reason the corner conditions need the complement summand.
     """
 
-    base: str
-    s: int
-    t: int
-    identities: dict[str, bool]
-    ambient_witnessed: bool
-    decidable: bool
-    corner_unit_regular: Optional[bool]
-    base_unit_regular: Optional[bool]
-    corner_matches_base: Optional[bool]
-    note: str
+    __slots__ = ("base", "s", "t", "identities", "ambient_witnessed", "decidable",
+                 "corner_unit_regular", "base_unit_regular", "corner_matches_base", "note")
+
+    def __init__(self, base: str, s: int, t: int, identities: dict[str, bool],
+                 ambient_witnessed: bool, decidable: bool,
+                 corner_unit_regular: Optional[bool], base_unit_regular: Optional[bool],
+                 corner_matches_base: Optional[bool], note: str) -> None:
+        self.base = base
+        self.s = s
+        self.t = t
+        self.identities = identities
+        self.ambient_witnessed = ambient_witnessed
+        self.decidable = decidable
+        self.corner_unit_regular = corner_unit_regular
+        self.base_unit_regular = base_unit_regular
+        self.corner_matches_base = corner_matches_base
+        self.note = note
 
     def to_dict(self) -> dict:
         return {
