@@ -72,11 +72,6 @@ def make_document(command: str, ring: Optional[str], status: str, payload: dict,
     }
 
 
-def payload_bytes(doc: dict) -> bytes:
-    """Canonical bytes of the deterministic part of a document."""
-    return json.dumps(doc["payload"], sort_keys=True).encode("utf-8")
-
-
 # payload builders ----------------------------------------------------------
 
 

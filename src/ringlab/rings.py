@@ -44,8 +44,7 @@ _TABLE_THRESHOLD = 1024
 
 # Rows of carriers up to this size stay lists, which Python indexes faster
 # than arrays; such a table takes at most 128 * 128 * 8 bytes = 128 KiB.
-# A part this small is tabled when a matrix ring or a product is built on it,
-# and only a residue ring this small fills before a sweep.
+# A part this small is tabled when a matrix ring or a product is built on it.
 _LIST_ROWS = 128
 
 
@@ -189,12 +188,11 @@ class FiniteRing:
     Subclasses supply _raw_add/_raw_neg/_raw_mul on codes; add/neg/mul read
     the Cayley tables once they are filled and call _raw_* until then. The
     tables fill all at once from _add_rows/_mul_rows/_neg_row, when a sweep
-    of O(n**2) ops or more is about to read them: units() and idempotents()
-    call tabulate() first, and the axiom check reads the tables of every
-    dense carrier within _TABLE_THRESHOLD. A request about a few elements,
-    such as a witness, fills nothing. The pairwise default of the row
-    builders, through _raw_*, is the oracle that the structural overrides
-    must equal entry by entry.
+    of O(n**2) ops or more is about to read them: units(), idempotents()
+    and the axiom check call tabulate() first. A request about a few
+    elements, such as a witness, fills nothing. The pairwise default of the
+    row builders, through _raw_*, is the oracle that the structural
+    overrides must equal entry by entry.
 
     Units: a carrier whose mul table is filled takes each inverse as the
     first v in ascending order with xv = 1 in x's mul row, found in C, and
@@ -449,14 +447,7 @@ class FiniteRing:
 
 
 class ZmodRing(FiniteRing):
-    """Integers modulo n; codes are the residues 0..n-1.
-
-    A residue op costs only about two table reads, so a table saves little
-    per op: a residue ring fills its tables before a sweep only when they
-    are list rows, of at most _LIST_ROWS elements. A larger one fills them
-    only for check_ring_axioms, whose proofs read them, or for a ring built
-    on it that fills.
-    """
+    """Integers modulo n; codes are the residues 0..n-1."""
 
     def __init__(self, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
         if n < 1:
@@ -464,10 +455,6 @@ class ZmodRing(FiniteRing):
         require_cap(n, size_cap)
         self.n = n
         super().__init__(size=n, one=1 % n, commutative=True)
-
-    def tabulate(self) -> None:
-        if self.n <= _LIST_ROWS:
-            super().tabulate()
 
     def _add_rows(self) -> Iterable[array]:
         n = self.n
@@ -1064,14 +1051,15 @@ def _row_ops(n: int) -> tuple[Callable, Callable]:
 def _cayley_rows(ring: FiniteRing, elems: list[int]) -> list[Callable[[int], Any]]:
     """Getters of A_x, A^x, M_x and M^x by the position x in elems.
 
-    A dense carrier within _TABLE_THRESHOLD reads its Cayley tables, filled
-    now if they are not yet. Any other carrier computes each row through
-    add and mul when asked, holding none; a sum or product that leaves the
-    carrier raises KeyError.
+    A carrier whose tables are filled, by tabulate() now or earlier, reads
+    them. Any other carrier computes each row through add and mul when
+    asked, holding none; a sum or product that leaves the carrier raises
+    KeyError.
     """
     n, pack = len(elems), _row_ops(len(elems))[0]
     getters = []
-    if isinstance(ring.elements(), range) and n <= _TABLE_THRESHOLD:
+    ring.tabulate()
+    if ring._mul_table is not None:
         for rows in (list(map(pack, t)) for t in ring._tables()[:2]):
             getters += (rows.__getitem__, list(map(pack, zip(*rows))).__getitem__)
         return getters

@@ -12,26 +12,30 @@ The engine evaluates seven conditions on a by exhaustive search:
   5   a + b is unit regular in R for some b in fRf that is neither a left
       nor a right zero divisor of fRf
 
-Conditions 1 through 5 except 4' are expected to agree on every input; 4' is
-strictly weaker (it follows from 1 by taking b = 0) and is evaluated and
-recorded but never folded into the consistency verdict. The weaker one-way
-facts, such as condition 4 forcing condition 3, are kept as an explicit
-implication chain. Every condition reads the same per-ring memo of witness
-searches, so a broken search would break them alike; tests/test_memo.py
-catches that by comparing the memo with plain scans on the curated family.
-What the conditions at one idempotent share, its two corners and the
-candidates b of each sweep, is built once per ring and idempotent (_Sweeps).
+Conditions 1 through 5 except 4' are expected to agree on every input. 4'
+follows from 1 by taking b = 0, and on a finite ring the converse holds
+too: if a + b is unit regular in R for some b of fRf, then a is regular in
+eRe, and a finite eRe has stable range 1. 4' can be strictly weaker only
+over an infinite carrier, such as the band ring of the shift demo, so it is
+evaluated and recorded but never folded into the consistency verdict. The
+weaker one-way facts, such as condition 4 forcing condition 3, are kept as
+an explicit implication chain. Every condition reads the same per-ring
+memo of witness searches, so a broken search would break them alike;
+tests/test_memo.py catches that by comparing the memo with plain scans on
+the curated family. What the conditions at one idempotent share, its two
+corners and the candidates b of each sweep, is built once per ring and
+idempotent (_Sweeps).
 
 The engine comes in two forms that give the same values. verify-theorem and
 family read corner_verdicts, which decides all seven conditions for every a
 of a corner at once from the unit-regular elements of R and of eRe read as
 sets, takes the sums a + b from one add-table row per a, and keeps the rows
 on _Sweeps; require_consistent is its strict check, and decides one
-element per corner again through theorem_verdict. theorem_verdict,
-verify_equivalences and check_condition are the per-element API: they also
-return a witness for each condition, read the memo of unit-regular
-witnesses directly, calling the search only for a sum not yet in it, and
-are the tests' oracle of the sweep.
+element per corner again through theorem_verdict. theorem_verdict and
+check_condition are the per-element API: they also return a witness for
+each condition, read the memo of unit-regular witnesses directly, calling
+the search only for a sum not yet in it, and are the tests' oracle of the
+sweep.
 
 Witness recovery goes the other way: from a unit-regularity equation for
 a + b in R it rebuilds a corner witness u' = e(u - u*b*u)e, v' = e*v*e and
@@ -299,8 +303,8 @@ _SOUND_ROWS = frozenset(
 
 def require_consistent(ring: FiniteRing, idem: Idempotent,
                        rows: dict[int, tuple[bool, ...]]) -> None:
-    """The strict check of verify_equivalences on rows of corner_verdicts,
-    and a cross-check of the sweep against the per-element engine.
+    """The strict check on rows of corner_verdicts, and a cross-check of
+    the sweep against the per-element engine.
 
     The first row whose equivalent conditions disagree, or whose one-way
     implications fail, raises InconsistencyError with the bundle of that
@@ -322,24 +326,6 @@ def require_consistent(ring: FiniteRing, idem: Idempotent,
         raise RuntimeError(f"corner sweep and theorem_verdict disagree on "
                            f"{ring.spec_string} at e={idem.e}, a={a}: "
                            f"{rows[a]} against {decided}")
-
-
-def verify_equivalences(ring: FiniteRing, idem: Idempotent,
-                        strict: bool = True) -> list[VerdictReport]:
-    """Evaluate every condition for every element of the corner at e.
-
-    With strict=True the first element whose equivalent conditions disagree,
-    or whose one-way implications fail, aborts the sweep with the full
-    reproduction bundle attached to the exception.
-    """
-    ee = corner_ring(ring, idem)
-    reports = []
-    for a in ee.elements():
-        report = theorem_verdict(ring, idem, a)
-        if strict and not _sound(report.conditions):
-            raise InconsistencyError(report.to_dict())
-        reports.append(report)
-    return reports
 
 
 _WITNESS_CHECK_KEYS = (

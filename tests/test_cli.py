@@ -32,9 +32,9 @@ from ringlab import (
     TableRing,
     ZmodRing,
     emit_report,
-    payload_bytes,
 )
 from ringlab.cli import EXIT_CAP, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main, run_command
+from oracles import payload_bytes
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -590,6 +590,27 @@ def test_classify_above_the_table_threshold_keeps_its_payload():
         assert code == EXIT_PASS
         digest = hashlib.sha256(json.dumps(doc["payload"], sort_keys=True).encode("utf-8"))
         assert digest.hexdigest() == expected, spec
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["classify", "--ring", "Z210"],
+     "35e8f911cb6a291ac3cfdfe282c462710e892f61c4b7613076cd44a75409a1f8"),
+    (["verify-theorem", "--ring", "Z210"],
+     "2b32ce5d83bcd8b57eaf5526be58560c6ab9301d954470e14e47b6632072c4d2"),
+    (["classify", "--ring", "Z1000"],
+     "c1509826b313fa3a38670b82e794dd85d0119e705f6b4b924bb22851230a356f"),
+    (["verify-theorem", "--ring", "Z1000", "--axiom-cap", "1"],
+     "2e840a0b3dbb443379d2ada540956c0f99eeb9da838aea6accbbade8692fac54"),
+    (["verify-theorem", "--ring", "Z500", "--axiom-cap", "1"],
+     "a6bc5b69442a191764332d9f044f4c2f8bdfd93140780e4479e3b9bbc75c3fb1"),
+], ids=["classify-Z210", "verify-Z210", "classify-Z1000", "verify-Z1000", "verify-Z500"])
+def test_residue_rings_above_the_list_rows_keep_their_payloads(argv, expected):
+    # residue rings of 129 to 1024 elements fill their tables, 'B' or 'H'
+    # rows, before a sweep; no benchmark request sends one
+    code, doc = run_command(argv + ["--json"])
+    assert code == EXIT_PASS
+    digest = hashlib.sha256(json.dumps(doc["payload"], sort_keys=True).encode("utf-8"))
+    assert digest.hexdigest() == expected
 
 
 def test_classify_above_the_listing_cap_builds_no_repr(monkeypatch):

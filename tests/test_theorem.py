@@ -27,6 +27,7 @@ from ringlab import (
     build_ring,
     TableRing,
     check_condition,
+    check_ring_axioms,
     complement,
     corner_ring,
     corner_verdicts,
@@ -36,10 +37,10 @@ from ringlab import (
     implication_violations,
     theorem_verdict,
     unit_regular_set,
-    verify_equivalences,
     verify_ur_inheritance,
     zero_divisor_status,
 )
+from oracles import verify_equivalences
 
 ALL_CHECK_NAMES = {
     "a=aua", "b=bub", "bua=0", "aub=0", "be=0",
@@ -226,11 +227,32 @@ def test_the_broken_table_parts_the_conditions_the_sweep_reads_as_sets():
     assert any(row["2"] != (a in ur) for a, row in rows)
 
 
-def test_corner_sweep_on_a_large_residue_ring_fills_no_table():
-    ring = build_ring("Z210")  # above 128 elements: residue ops, no tables
+def test_conditions_1_and_4p_agree_on_every_finite_corner():
+    # If (a + b)x(a + b) = a + b for some b of fRf, then a = e(a + b)x(a + b)e
+    # = a(exe)a is regular in eRe, and a finite eRe has stable range 1, so a
+    # is unit regular there: 1 = 4' on a finite ring. The rows are only
+    # read; the sweep still computes 4' on its own.
+    one, four_p = CONDITION_LABELS.index("1"), CONDITION_LABELS.index("4'")
+    swept = 0
+    for spec in CURATED_FAMILY + ("M2(Z4)", "T2(Z8)", "M3(Z2)", "T3(Z2)", "T2(T2(Z2))",
+                                  "Z2xM2(Z2)", "Z210"):
+        ring = build_ring(spec)
+        for idem in idempotents(ring):
+            rows = corner_verdicts(ring, idem)
+            assert [a for a, row in rows.items() if row[one] != row[four_p]] == [], \
+                (spec, idem.e)
+            swept += len(rows)
+    assert swept == 5250
+
+
+def test_corner_sweeps_fill_the_residue_ring_and_never_a_corner():
+    ring = build_ring("Z210")  # 16 idempotents; a corner's carrier is not dense
     for idem in idempotents(ring):
         corner_verdicts(ring, idem)
-    assert (ring._add_table, ring._mul_table, ring._neg_table) == (None, None, None)
+        corner = corner_ring(ring, idem)
+        assert check_ring_axioms(corner).ok
+        assert (corner._add_table, corner._mul_table, corner._neg_table) == (None, None, None)
+    assert ring._mul_table is not None
 
 
 def test_strict_check_of_the_sweep_raises_the_per_element_bundle():
