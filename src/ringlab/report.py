@@ -10,16 +10,17 @@ JSON output is exactly json.dumps(doc, indent=2, sort_keys=True), the
 writer's oracle in the tests. The stdlib writes any indented document with
 its pure-Python encoder, so emit_report goes through _json_text instead: a
 walk that writes the indentation as a %-template while the C encoder,
-reached through the public JSONEncoder, encodes the document's keys and
-scalars in one call.
+reached through the public JSONEncoder, encodes the document's scalar
+values in one call. Keys are not among them: every report repeats the same
+few dozen dict shapes, so a bounded table keeps each shape's keys, encoded
+once by the same encoder, with its template, and no values.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Optional
 
 from .corners import as_idempotent, idempotents
@@ -223,6 +224,7 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 _STR = frozenset((str,))
 _DICT = frozenset((dict,))
 _LISTS = frozenset((list, tuple))
+_SLOTS = _SCALARS | _DICT
 
 # Scalars joined by raw newlines: with ensure_ascii no encoded scalar holds
 # one, so splitting the text on "\n" gives back one token per scalar.
@@ -230,14 +232,19 @@ _LEAVES = json.JSONEncoder(check_circular=False, separators=("\n", ": "))
 # The oracle the writer reproduces, and the writer of any node it does not know.
 _STDLIB = json.JSONEncoder(indent=2, sort_keys=True)
 
+# Dict shapes (see _walk) and scalar-list templates, by (depth, length);
+# a benchmark pass makes a few dozen.
+_SHAPES: dict = {}
+_SHAPE_LIMIT = 1024
+
 
 def _json_text(node) -> str:
     """The text of json.dumps(node, indent=2, sort_keys=True).
 
     One walk of the tree writes the output as a %-template, with %s for
-    each scalar and key, and gathers those scalars and keys in output
-    order. One call of the C encoder encodes them all and one % fills the
-    template, so Python writes only indentation and punctuation.
+    each scalar value, and gathers those values in output order. One call
+    of the C encoder encodes them all and one % fills the template, so
+    Python writes only indentation, punctuation and keys encoded earlier.
     """
     parts: list[str] = []
     leaves: list = []
@@ -251,49 +258,49 @@ def _newline(depth: int) -> str:
 
 
 def _walk(node, depth: int, parts: list, leaves: list) -> None:
-    """Append node's template to parts and its scalars to leaves.
+    """Append node's template to parts and its scalar values to leaves.
 
-    A container of scalars is one template piece. A list of records of one
-    shape is one piece built from one record template. Other dicts
-    and lists recurse. Anything else (a non-str key, a type outside JSON's)
-    is written by the stdlib encoder, so no shape can change the bytes.
+    A dict is written from its shape in _SHAPES, keyed by depth and the
+    dict's keys in insertion order (_dict_shape). The shape holds a getter
+    of the values, the keys encoded once and the template for when every
+    value is a scalar. Key sets repeat across reports, so encoding them
+    once per shape leaves a dict one lookup, one getter call and one type
+    check of its values, and only values reach the encoder. The table holds
+    no values and at most _SHAPE_LIMIT entries; it is emptied when full.
+
+    A container of scalars is one template piece, and so is a list of
+    records of one shape. Other dicts and lists recurse. Anything else (a
+    non-str key, a type outside JSON's) is written by the stdlib encoder,
+    so no shape can change the bytes.
     """
     kind = type(node)
     if kind in _SCALARS:
         parts.append("%s")
         leaves.append(node)
     elif kind is dict:
-        if not node:
-            parts.append("{}")
-            return
-        if set(map(type, node)) != _STR:
+        shape = _dict_shape(node, depth)
+        if shape is None:
             parts.append(_stdlib_text(node, depth))
             return
-        keys = sorted(node)
-        values = list(map(node.__getitem__, keys))
+        getter, heads, template = shape
+        values = getter(node)
+        # the shape says nothing of the values: any slot may hold a container
         if set(map(type, values)) <= _SCALARS:
-            parts.append(_container(depth, ["%s: %s"] * len(keys), "{}"))
-            leaves.extend(chain.from_iterable(zip(keys, values)))
+            parts.append(template)
+            leaves.extend(values)
             return
-        inner = _newline(depth + 1)
-        lead = "{" + inner
-        for key, value in zip(keys, values):
-            leaves.append(key)
+        for head, value in zip(heads, values):
             if type(value) in _SCALARS:
-                parts.append(lead + "%s: %s")
+                parts.append(head + "%s")
                 leaves.append(value)
             else:
-                parts.append(lead + "%s: ")
+                parts.append(head)
                 _walk(value, depth + 1, parts, leaves)
-            lead = "," + inner
         parts.append(_newline(depth) + "}")
     elif kind in _LISTS:
-        if not node:
-            parts.append("[]")
-            return
         kinds = set(map(type, node))
         if kinds <= _SCALARS:
-            parts.append(_container(depth, ["%s"] * len(node), "[]"))
+            parts.append(_list_template(depth, len(node)))
             leaves.extend(node)
             return
         if _records(node, kinds, depth, parts, leaves):
@@ -309,10 +316,52 @@ def _walk(node, depth: int, parts: list, leaves: list) -> None:
         parts.append(_stdlib_text(node, depth))
 
 
-def _container(depth: int, items: list, brackets: str) -> str:
-    """A non-empty list or dict at depth, one item text per line."""
+def _dict_shape(node: dict, depth: int) -> Optional[tuple]:
+    """The shape of dicts with node's keys at depth; None if a key is not a str.
+
+    Values come in sorted-key order; an item's head is its line break,
+    indent and key, %-escaped.
+    """
+    key = (depth, tuple(node))
+    shape = _SHAPES.get(key)
+    if shape is None and set(map(type, node)) <= _STR:
+        keys = sorted(node)
+        names = _LEAVES.encode(keys)[1:-1].replace("%", "%%").split("\n") if keys else []
+        inner = _newline(depth + 1)
+        heads = [("," if i else "{") + inner + name + ": " for i, name in enumerate(names)]
+        getter = (itemgetter(*keys) if len(keys) > 1
+                  else lambda one: tuple(map(one.__getitem__, keys)))
+        shape = _remember(key, (getter, heads, _dict_text(heads, ["%s"] * len(keys), depth)))
+    return shape
+
+
+def _list_template(depth: int, length: int) -> str:
+    template = _SHAPES.get((depth, length))
+    if template is None:
+        template = _remember((depth, length), _list_text(depth, ["%s"] * length))
+    return template
+
+
+def _remember(key: tuple, entry):
+    if len(_SHAPES) >= _SHAPE_LIMIT:
+        _SHAPES.clear()
+    _SHAPES[key] = entry
+    return entry
+
+
+def _dict_text(heads: list, items: list, depth: int) -> str:
+    """A dict at depth: each head followed by its item's text."""
+    if not heads:
+        return "{}"
+    return "".join(map(add, heads, items)) + _newline(depth) + "}"
+
+
+def _list_text(depth: int, items: list) -> str:
+    """A list at depth, one item text per line."""
+    if not items:
+        return "[]"
     inner = _newline(depth + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + _newline(depth) + brackets[1]
+    return "[" + inner + ("," + inner).join(items) + _newline(depth) + "]"
 
 
 def _stdlib_text(node, depth: int) -> str:
@@ -324,82 +373,54 @@ def _stdlib_text(node, depth: int) -> str:
 def _records(items, kinds: set, depth: int, parts: list, leaves: list) -> bool:
     """Write a list of records of one shape as one piece; False if it is not.
 
-    A record is either a non-empty list of scalars, all of one length, or a
-    dict with the first record's str keys, each holding a scalar or a dict
-    of scalars with the first record's keys there.
+    A record is a list of scalars, all of one length, or a dict that
+    _dict_records accepts.
     """
     if kinds <= _LISTS:
         widths = set(map(len, items))
-        if len(widths) != 1 or 0 in widths:
+        if len(widths) != 1:
             return False
-        found = list(chain.from_iterable(items))
-        record = _container(depth + 1, ["%s"] * widths.pop(), "[]")
-    elif kinds == _DICT:
-        shaped = _record_values(items)
-        if shaped is None:
+        values = list(chain.from_iterable(items))
+        if not set(map(type, values)) <= _SCALARS:
             return False
-        found, shape = shaped
-        record = _record_template(depth + 1, shape)
+        record = _list_template(depth + 1, widths.pop())
+    elif kinds == _DICT and (shaped := _dict_records(items, depth + 1)):
+        record, columns = shaped
+        values = chain.from_iterable(zip(*columns))
     else:
         return False
-    if not set(map(type, found)) <= _SCALARS:
-        return False
-    parts.append(_container(depth, [record] * len(items), "[]"))
-    leaves.extend(found)
+    parts.append(_list_text(depth, [record] * len(items)))
+    leaves.extend(values)
     return True
 
 
-def _record_values(items) -> Optional[tuple[list, tuple]]:
-    """The values of dict records in output order and their shape, or None.
+def _dict_records(items, depth: int) -> Optional[tuple[str, list]]:
+    """The template of dicts at depth as records, and their value columns.
 
-    The shape holds (key, None) for a scalar slot and (key, subkeys) for a
-    slot holding a dict, keys and subkeys sorted. The values are gathered
-    column by column, in C.
+    Each record has the first one's keys, and each slot holds scalars in
+    every record, or dicts that are records themselves; None otherwise.
+    The first record's shape gathers the columns, in C, once its own
+    values show no slot that cannot be a record's.
     """
     first = items[0]
+    shape = _dict_shape(first, depth)
     keys = first.keys()
-    if (not first or set(map(type, first)) != _STR
+    if (shape is None or not set(map(type, shape[0](first))) <= _SLOTS
             or not all(map(keys.__eq__, map(dict.keys, items)))):
         return None
+    slots: list = []
     columns: list = []
-    shape = []
-    for key in sorted(first):
-        column = list(map(itemgetter(key), items))
-        value = first[key]
-        if type(value) is not dict:
-            shape.append((key, None))
+    for column in zip(*map(shape[0], items)):
+        kinds = set(map(type, column))
+        if kinds <= _SCALARS:
+            slots.append("%s")
             columns.append(column)
-            continue
-        subkeys = value.keys()
-        if (set(map(type, column)) != _DICT or not set(map(type, value)) <= _STR
-                or not all(map(subkeys.__eq__, map(dict.keys, column)))):
-            return None
-        shape.append((key, tuple(sorted(value))))
-        columns.extend(map(itemgetter(name), column) for name in shape[-1][1])
-    if not columns:
-        return None
-    return list(chain.from_iterable(zip(*columns))), tuple(shape)
-
-
-@functools.lru_cache(maxsize=256)
-def _record_template(depth: int, shape: tuple) -> str:
-    """A dict record at depth of a shape _record_values returns: %s for each
-    value, the keys written in with their % signs escaped."""
-    keys = [key for key, _ in shape]
-    subkeys = [name for _, sub in shape if sub for name in sub]
-    names = [name.replace("%", "%%")
-             for name in _LEAVES.encode(keys + subkeys)[1:-1].split("\n")]
-    subnames = iter(names[len(keys):])
-    parts = []
-    for name, (_, sub) in zip(names, shape):
-        if sub is None:
-            parts.append(name + ": %s")
-        elif not sub:
-            parts.append(name + ": {}")
+        elif kinds == _DICT and (shaped := _dict_records(column, depth + 1)):
+            slots.append(shaped[0])
+            columns.extend(shaped[1])
         else:
-            parts.append(name + ": " + _container(
-                depth + 1, [next(subnames) + ": %s" for _ in sub], "{}"))
-    return _container(depth, parts, "{}")
+            return None
+    return _dict_text(shape[1], slots, depth), columns
 
 
 # human rendering -----------------------------------------------------------

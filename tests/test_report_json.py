@@ -1,10 +1,14 @@
 """JSON reports: the writer against its oracle, json.dumps(indent=2, sort_keys=True).
 
 emit_report writes every scalar through the C encoder and only the
-indentation in Python, so each test here compares bytes with the stdlib's
-indented encoder: on seeded random documents, on hand-picked shapes that
-the writer treats specially, and on the documents real requests produce,
-whose payloads must also hash to the sha256 in perfbench/reference.json.
+indentation in Python, from a table of dict shapes that keeps each key set's
+encoded keys and templates across documents. Each test here compares bytes
+with the stdlib's indented encoder: on seeded random documents, written from
+a cold table and again from a warm one; on documents the shape table must get
+right, such as one key set in another insertion order, at another depth or
+holding a container where it held a scalar, and more key sets than the
+table's bound; and on the documents real requests produce, whose payloads
+must also hash to the sha256 in perfbench/reference.json.
 """
 
 import enum
@@ -127,11 +131,20 @@ def document(rng, depth=0):
     return [document(rng, depth + 1) for _ in range(rng.randrange(5))]
 
 
-def test_generated_documents_match_the_oracle():
+def test_generated_documents_match_the_oracle(monkeypatch):
     rng = random.Random(20261018)
-    for _ in range(1500):
-        doc = document(rng)
+    docs = [document(rng) for _ in range(1500)]
+    # these documents make about 1,550 shapes: a larger bound keeps them all,
+    # so the first pass meets each shape cold and the second writes from a
+    # warm table (test_shape_table_stays_within_its_bound covers the bound)
+    monkeypatch.setattr(report_mod, "_SHAPE_LIMIT", 4096)
+    report_mod._SHAPES.clear()
+    for doc in docs:
         assert emit_report(doc, "json") == oracle(doc), doc
+    made = len(report_mod._SHAPES)
+    for doc in docs:
+        assert emit_report(doc, "json") == oracle(doc), doc
+    assert len(report_mod._SHAPES) == made
 
 
 class Kind(enum.IntEnum):
@@ -182,6 +195,64 @@ HAND_PICKED = [
 @pytest.mark.parametrize("doc", HAND_PICKED, ids=range(len(HAND_PICKED)))
 def test_hand_picked_documents_match_the_oracle(doc):
     assert_same_bytes(doc)
+
+
+# documents the shape table must get right: each sequence is written in
+# order from an empty table, so later documents meet the shapes of earlier ones
+NESTED = {"x": 1, "y": 2}
+SHAPE_SEQUENCES = {
+    "insertion-orders": [
+        {"b": 1, "a": [1, 2], "c": None},
+        {"c": "x", "a": [3], "b": 2},
+        {"k": {"b": 1, "a": 2}},
+        {"k": {"a": 1, "b": 2}},
+    ],
+    "scalars-then-containers": [
+        {"k": {"a": 1, "b": 2}},
+        {"k": {"a": {"c": 1}, "b": 2}},
+        {"k": {"a": [1, {"d": 2}], "b": 2}},
+        {"k": {"a": 1, "b": "%s"}},
+        [{"a": 1, "b": 2}, {"a": 3, "b": 4}],
+        [{"a": {"c": 1}, "b": 2}, {"a": {"c": 3}, "b": 4}],
+        [{"a": [1], "b": 2}, {"a": [3], "b": 4}],
+        [{"a": 5, "b": 6}, {"a": 7, "b": 8}],
+    ],
+    "depths": [
+        dict(NESTED),
+        {"p": {"q": [dict(NESTED)]}},
+        {"p": {"q": [dict(NESTED), {"y": 3, "x": [4]}]}},
+        dict(NESTED),
+        [[[dict(NESTED)]]],
+    ],
+    "nested-slot-orders": [
+        [{"a": 1, "c": {"x": 1, "y": 2}}, {"a": 2, "c": {"y": 3, "x": 4}}],
+        [{"c": {"y": 5, "x": 6}, "a": 3}, {"a": 4, "c": {"x": 7, "y": 8}}],
+        [{"a": 1, "c": {"x": 1, "y": 2}}, {"a": 2, "c": {"y": 3, "z": 4}}],
+        {"c": {"y": 1, "x": 2}, "a": 0},
+    ],
+    "escaped-keys": [
+        {"%": 1, "%s": "%s", '"q"': 2, "é": 3, "\u2028": 4, "a\nb": 5, "%(a)s": 6},
+        {"%(a)s": "%", "a\nb": 0, "\u2028": None, "é": "é", '"q"': [1], "%s": 7, "%": {"%%": 1}},
+        [{"%": 1, "é": '"'}, {"é": "%%", "%": 2}],
+        {"outer": [{"%": 1, "é": '"'}, {"é": "%%", "%": 2}]},
+    ],
+}
+
+
+@pytest.mark.parametrize("docs", SHAPE_SEQUENCES.values(), ids=SHAPE_SEQUENCES.keys())
+def test_shape_sequences_match_the_oracle(docs):
+    report_mod._SHAPES.clear()
+    for doc in docs:
+        assert emit_report(doc, "json") == oracle(doc), doc
+
+
+def test_shape_table_stays_within_its_bound():
+    report_mod._SHAPES.clear()
+    limit = report_mod._SHAPE_LIMIT
+    docs = [{f"key {n}": n, "rows": [{"n": n, f"slot {n % 7}": [n]}]} for n in range(limit + 200)]
+    for doc in docs + docs[:10]:
+        assert emit_report(doc, "json") == oracle(doc), doc
+        assert len(report_mod._SHAPES) <= limit
 
 
 def test_unknown_subtree_goes_to_the_stdlib_encoder(monkeypatch):
