@@ -79,8 +79,7 @@ class CornerRing(FiniteRing):
         self.idem = idem
         self._carrier = carrier
         self._carrier_set = frozenset(carrier)
-        super().__init__(size=len(carrier), one=e,
-                         commutative=ambient.is_commutative)
+        super().__init__(size=len(carrier), one=e)
 
     def elements(self) -> Sequence[int]:
         return self._carrier

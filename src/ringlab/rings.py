@@ -15,8 +15,8 @@ Arithmetic is fixed at construction; derived sweeps (units,
 idempotents, corners, regularity witnesses, axiom reports) are memoised lazily on
 the instance and freed with it. Every derived sweep is deterministic. The
 exhaustive searches read products through the kernels of FiniteRing, which
-index the rows of a filled mul table and call mul otherwise; units() finds
-each inverse in its element's mul row in C.
+index the rows of a filled mul table and call mul otherwise; units() asks
+each element's inverse_of, tabled or not.
 """
 
 from __future__ import annotations
@@ -159,29 +159,6 @@ def _pair_rows(rows1: Sequence[Sequence[int]],
     return _summed_rows([list(map(high, rows1)), lows], n)
 
 
-def _positions(row: Sequence[int], code: int) -> Iterator[int]:
-    """Every position of code in a table row, ascending, each found in C:
-    list.index on a list row, bytes.find on the bytes of an array row,
-    where a match counts only at a whole entry, an offset that the entry
-    width divides."""
-    if isinstance(row, list):
-        i = -1
-        try:
-            while True:
-                i = row.index(code, i + 1)
-                yield i
-        except ValueError:
-            return
-    data = row.tobytes()
-    pattern = array(row.typecode, (code,)).tobytes()
-    width = len(pattern)
-    i = data.find(pattern)
-    while i >= 0:
-        if i % width == 0:
-            yield i // width
-        i = data.find(pattern, i + 1)
-
-
 class FiniteRing:
     """Common interface for every ring carrier in this package.
 
@@ -194,14 +171,13 @@ class FiniteRing:
     row builders, through _raw_*, is the oracle that the structural
     overrides must equal entry by entry.
 
-    Units: a carrier whose mul table is filled takes each inverse as the
-    first v in ascending order with xv = 1 in x's mul row, found in C, and
-    vx = 1. Any other carrier asks inverse_of per
-    element: the generic one is that two-sided scan through mul. Each
-    construction overrides it once (gcd for residues, the walk of powers for
-    square rings, componentwise for products, the ambient ring for corners),
-    and each must agree with the scan. Those serve untabled carriers and
-    single inverses, such as a witness request's.
+    Units: every carrier asks inverse_of per element, whether its tables
+    are filled or not. The generic one is a two-sided scan through mul,
+    the first v in ascending order with xv = vx = 1. Each construction
+    overrides it once (gcd for residues, the walk of powers for square
+    rings, componentwise for products, the ambient ring for corners), and
+    each must agree with the scan. The same inverse_of serves single
+    inverses, such as a witness request's.
 
     The exhaustive searches read products through the kernels, one per
     product shape: find_left, find_right and find_sandwich return the first
@@ -215,11 +191,10 @@ class FiniteRing:
     so they are freed with the ring.
     """
 
-    def __init__(self, size: int, one: int, commutative: bool) -> None:
+    def __init__(self, size: int, one: int) -> None:
         self.size = size
         self.zero = 0
         self.one = one
-        self.is_commutative = commutative
         self._add_table: Optional[list] = None
         self._mul_table: Optional[list] = None
         self._neg_table: Optional[Sequence[int]] = None
@@ -403,16 +378,7 @@ class FiniteRing:
         """
         def sweep() -> dict[int, int]:
             self.tabulate()
-            t, one = self._mul_table, self.one
-            if t is None:
-                return {x: v for x in self.elements()
-                        if (v := self.inverse_of(x)) is not None}
-            table: dict[int, int] = {}
-            for x, row in enumerate(t):
-                v = next((v for v in _positions(row, one) if t[v][x] == one), None)
-                if v is not None:
-                    table[x] = v
-            return table
+            return {x: v for x in self.elements() if (v := self.inverse_of(x)) is not None}
 
         return self.cached("units", sweep)
 
@@ -454,7 +420,7 @@ class ZmodRing(FiniteRing):
             raise ValueError(f"modulus must be >= 1, got {n}")
         require_cap(n, size_cap)
         self.n = n
-        super().__init__(size=n, one=1 % n, commutative=True)
+        super().__init__(size=n, one=1 % n)
 
     def _add_rows(self) -> Iterable[array]:
         n = self.n
@@ -522,8 +488,7 @@ class _SquareRing(FiniteRing):
                   if (i, l) in index and (l, j) in index)
             for i, j in slots)
         one = self._pack(base.one if i == j else base.zero for i, j in slots)
-        commutative = base.is_commutative if k == 1 else cardinality == 1
-        super().__init__(size=cardinality, one=one, commutative=commutative)
+        super().__init__(size=cardinality, one=one)
         if base.size <= _LIST_ROWS:
             base.tabulate()
 
@@ -781,8 +746,7 @@ class ProductRing(FiniteRing):
         require_cap(cardinality, size_cap)
         self.r1 = r1
         self.r2 = r2
-        super().__init__(size=cardinality, one=self.encode((r1.one, r2.one)),
-                         commutative=r1.is_commutative and r2.is_commutative)
+        super().__init__(size=cardinality, one=self.encode((r1.one, r2.one)))
         for factor in (r1, r2):
             if factor.size <= _LIST_ROWS:
                 factor.tabulate()
@@ -856,7 +820,7 @@ class TableRing(FiniteRing):
     tables are copied and fixed at construction time.
     """
 
-    def __init__(self, add_table, mul_table, one: int, commutative: bool = False,
+    def __init__(self, add_table, mul_table, one: int,
                  label: Optional[str] = None) -> None:
         n = len(add_table)
         for name, tab in (("add", add_table), ("mul", mul_table)):
@@ -875,7 +839,7 @@ class TableRing(FiniteRing):
             except ValueError:
                 raise ValueError(f"element {a} has no additive inverse") from None
         self._label = label or f"table{n}"
-        super().__init__(size=n, one=one, commutative=commutative)
+        super().__init__(size=n, one=one)
         self._add_table = add
         self._mul_table = mul
         self._neg_table = neg
@@ -897,8 +861,7 @@ class TableRing(FiniteRing):
             mul[a][b] = v
         for (a, b), v in (override_add or {}).items():
             add[a][b] = v
-        return cls(add, mul, ring.one, commutative=False,
-                   label=label or f"table({ring.spec_string})")
+        return cls(add, mul, ring.one, label=label or f"table({ring.spec_string})")
 
     @property
     def spec_string(self) -> str:

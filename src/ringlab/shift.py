@@ -239,7 +239,6 @@ class BandRing:
     zero = BandOperator.zero()
     one = BandOperator.identity()
     spec_string = "band"
-    is_commutative = False
 
     def add(self, x: BandOperator, y: BandOperator) -> BandOperator:
         return x + y

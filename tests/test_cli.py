@@ -569,6 +569,15 @@ def test_huge_dimension_over_the_zero_ring_is_capped_in_bounded_time(schema, let
     assert "product terms" in doc["payload"]["message"]
 
 
+def test_dimension_whose_square_overflows_a_float_is_capped(schema):
+    # k = 10^200, so the k*k slots of the size estimate leave float range
+    code, doc, elapsed = timed_run(["classify", "--ring", f"M1{'0' * 200}(Z2)"])
+    assert code == EXIT_CAP and elapsed < 1.0
+    jsonschema.validate(doc, schema)
+    assert doc["payload"]["cardinality"] is None
+    assert "10^4000" in doc["payload"]["message"]
+
+
 def test_large_dimension_over_the_zero_ring_classifies_in_bounded_time():
     # a single-element carrier: each inverse is one step of the power walk,
     # whatever the dimension
@@ -711,6 +720,30 @@ def test_human_output_capped(capsys):
     out = capsys.readouterr().out
     assert "status: capped" in out
     assert "exceeds cap 10" in out
+
+
+def _human_verify_failure(ring, **kwargs):
+    payload, ok = report_mod.verify_payload(ring, **kwargs)
+    assert not ok
+    doc = {"command": "verify-theorem", "ring": ring.spec_string, "status": "fail",
+           "payload": payload}
+    return emit_report(doc, "human")
+
+
+def test_human_output_failed_axioms():
+    broken = TableRing.from_ring(ZmodRing(6), override_mul={(5, 5): 5})
+    out = _human_verify_failure(broken)
+    assert "axioms: FAIL mul_associative at (2, 5, 5)" in out
+    assert "corner inheritance" not in out
+
+
+def test_human_output_inconsistency_bundle():
+    # with the axiom check skipped, the broken table reaches the sweep
+    broken = TableRing.from_ring(ZmodRing(6), override_mul={(0, 3): 2})
+    out = _human_verify_failure(broken, axiom_cap=1)
+    assert "axioms: skipped (carrier larger than axiom cap 1)" in out
+    assert "INCONSISTENT at e=3 a=2:" in out
+    assert "corner inheritance" not in out
 
 
 def test_usage_error_prints_to_stderr_only(capsys):

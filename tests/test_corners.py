@@ -11,6 +11,7 @@ from ringlab import (
     CURATED_FAMILY,
     CornerRing,
     Idempotent,
+    TableRing,
     as_idempotent,
     build_ring,
     check_ring_axioms,
@@ -251,6 +252,13 @@ def test_peirce_of_central_idempotent_has_no_cross_terms(rings):
         assert parts.ef == 0 and parts.fe == 0
 
 
+def test_peirce_decompose_raises_when_the_parts_do_not_sum_back():
+    # 0*3 = 1, so the parts (3*0)*3 and (4*0)*3 of 0 are 1 each: they sum to 2
+    ring = TableRing.from_ring(build_ring("Z6"), override_mul={(0, 3): 1})
+    with pytest.raises(AssertionError, match="do not sum back"):
+        peirce_decompose(ring, as_idempotent(ring, 3), 0)
+
+
 # the product embedding -------------------------------------------------------
 
 
@@ -281,6 +289,24 @@ def test_embedding_holds_for_every_idempotent(rings, spec):
     for idem in idempotents(ring):
         report = corner_product_embedding(ring, idem)
         assert report.ok, (spec, idem.e, report.to_dict())
+
+
+EMBEDDING_LAWS = ("injective", "additive", "multiplicative", "maps_identity_pair_to_one",
+                  "image_closed")
+
+
+@pytest.mark.parametrize("e, overrides, failed", [
+    (3, {"override_mul": {(0, 0): 1}}, {"multiplicative"}),
+    (3, {"override_mul": {(0, 3): 1}}, {"injective", "multiplicative", "image_closed"}),
+    (3, {"override_add": {(0, 1): 0}}, {"additive"}),
+    (4, {"override_add": {(1, 2): 0}}, {"maps_identity_pair_to_one"}),
+])
+def test_embedding_reports_each_broken_law(e, overrides, failed):
+    # one broken entry of Z6's tables per case
+    ring = TableRing.from_ring(build_ring("Z6"), **overrides)
+    report = corner_product_embedding(ring, as_idempotent(ring, e)).to_dict()
+    assert {law for law in EMBEDDING_LAWS if not report[law]} == failed
+    assert report["ok"] is False
 
 
 def test_embedding_image_is_whole_ring_exactly_for_central_idempotents(rings):

@@ -5,15 +5,14 @@ every condition of the theorem engine reads the same memo, so a wrong entry
 would skew them all alike. The oracles here therefore rescan each carrier
 with nothing but the ring's add and mul, written out in this file, on every
 curated ring and on both corners of each of its idempotents, and on one
-carrier for each kind of compact table row. The searches themselves scan
-rows of the mul table in C, so the row search of units() is also checked
-where a byte pattern straddles two entries and where an inverse is only
+carrier for each kind of compact table row. units() asks each element's
+inverse_of, tabled or not, so it is checked against a two-sided scan on
+filled carriers up to the 1024-element edge, and where an inverse is only
 one-sided.
 """
 
 import gc
 import weakref
-from array import array
 
 import pytest
 
@@ -33,7 +32,6 @@ from ringlab import (
     verify_payload,
     zero_divisor_status,
 )
-from ringlab.rings import _positions
 
 
 def scan_units(ring):
@@ -112,20 +110,17 @@ def test_sums_kernel_matches_add(spec, fill):
             assert list(sums(a)) == [ring.add(a, x) for x in xs], (spec, a, len(xs))
 
 
-def test_row_search_counts_a_match_only_at_a_whole_entry():
-    # tables as check_ring_axioms leaves them; row 2 of Z300 holds 298, 0 at
-    # positions 149, 150, whose bytes hold those of 1 at odd offset 299
-    ring = ZmodRing(300)
-    ring._fill_tables()
-    row = ring._mul_table[2]
-    assert row.typecode == "H" and row[149:151].tolist() == [298, 0]
-    assert array("H", [1]).tobytes() in row.tobytes()
-    assert list(_positions(row, 1)) == []
-    assert list(_positions(row, 298)) == [149, 299]
-    assert list(_positions(row, 0)) == [0, 150]
-    assert 2 not in ring.units()
-    assert ring.units() == {x: v for x in ring.elements()
-                            if (v := ring._scan_inverse(x)) is not None}
+@pytest.mark.parametrize("spec", ["Z300", "Z1000", "M2(Z5)", "T4(Z2)", "M2(Z4)xZ2",
+                                  "T2(Z4)xZ2"])
+def test_units_of_filled_carriers_match_scan(spec):
+    # 'H' rows, a product over a factor with 'B' rows, one with list rows,
+    # and the 1024-element edge: each carrier fills its tables before the
+    # sweep, and units() still asks inverse_of
+    ring = build_ring(spec)
+    units = ring.units()
+    assert ring._mul_table is not None
+    assert units == scan_units(ring)
+    assert units == {x: v for x in ring.elements() if (v := ring._scan_inverse(x)) is not None}
 
 
 def _one_sided_units_match_scan(ring):

@@ -129,7 +129,8 @@ def test_build_ring_types_and_text_input(rings):
 
 
 def test_build_ring_spec_strings_round_trip():
-    for text in ("Z6", "M2(Z2)", "T2(Z3)", "Z2xZ4", "M2(Z2)xZ2"):
+    for text in ("Z6", "M2(Z2)", "T2(Z3)", "Z2xZ4", "M2(Z2)xZ2", "Z2x(Z3xZ5)",
+                 "M2(Z2x(Z2xZ2))"):
         assert build_ring(text).spec_string == text
 
 

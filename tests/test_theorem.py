@@ -542,6 +542,39 @@ def test_inheritance_ok_rejects_broken_corners(rings):
     assert not report.ok
 
 
+# Fault injection: one broken entry of Z6's tables reaches each failure of
+# the inheritance report.
+
+
+def _z6_with(**overrides):
+    return TableRing.from_ring(build_ring("Z6"), **overrides)
+
+
+def test_inheritance_reports_a_corner_element_the_ambient_ring_lacks():
+    report = verify_ur_inheritance(_z6_with(override_mul={(2, 5): 0}))
+    assert [c.e for c in report.corners if not c.inclusion_ok] == [4]
+    assert not report.ok and report.to_dict()["ok"] is False
+
+
+@pytest.mark.parametrize("override_mul, e", [({(0, 2): 1}, 1), ({(2, 2): 0}, 4)])
+def test_inheritance_reports_a_failed_constructive_recovery(override_mul, e):
+    report = verify_ur_inheritance(_z6_with(override_mul=override_mul))
+    assert report.ambient_unit_regular
+    assert all(c.inclusion_ok for c in report.corners)
+    assert [c.e for c in report.corners if c.constructive_ok is False] == [e]
+    assert not report.ok
+
+
+def test_inheritance_reports_a_corner_that_is_not_unit_regular():
+    # the recovery still replays on every corner element; only the corner
+    # sweep finds an element of 3R3 that is not unit regular there
+    report = verify_ur_inheritance(_z6_with(override_add={(3, 4): 0}))
+    assert report.ambient_unit_regular
+    assert all(c.inclusion_ok and c.constructive_ok for c in report.corners)
+    assert [c.e for c in report.corners if not c.corner_unit_regular] == [3]
+    assert not report.ok
+
+
 # the 2x2 scaffold ---------------------------------------------------------------
 
 
