@@ -3,10 +3,14 @@
 An element a is regular when a = a*t*a for some t, and unit regular when some
 such middle term is a unit. Each search runs once per element and ring: its
 result is memoised on the ring instance, and the sets are read off the
-per-element results. Each search is one call of a product kernel of the
-ring (FiniteRing.find_sandwich and its kin), which reads the ring's mul
-table rows when they are filled and stops at the first hit in ascending
-code order.
+per-element results. The unit-regular search runs for the whole carrier in
+one pass (unit_regular_witnesses): with a mul table to read, one nested loop
+over the rows finds every element's first unit middle term in ascending
+code order; without one, it calls FiniteRing.find_sandwich once per
+element. unit_regular_witness and unit_regular_set read that map. The other
+searches run per element, each one call of a product kernel of the ring
+(find_sandwich and its kin), which reads the ring's mul table rows when they
+are filled and stops at the first hit in ascending code order.
 
 The one-sided variants ask for a middle term with a one-sided inverse. On a
 finite carrier they coincide with the two-sided notion: if uv = 1 then
@@ -93,14 +97,46 @@ def regular_witness(ring: FiniteRing, a: int) -> Optional[int]:
 
 
 def unit_regular_witness(ring: FiniteRing, a: int) -> Optional[tuple[int, int]]:
-    """First unit middle term (u, u_inverse) with a = a*u*a, or None; memoised."""
+    """First unit middle term (u, u_inverse) with a = a*u*a, or None.
+
+    A lookup in unit_regular_witnesses, so the first call on a ring runs the
+    search for every element of it, on an untabled carrier too.
+    """
     ring.check_element(a)
-    found = ring.cached("unit_regular_witness", dict)
-    if a not in found:
+    return unit_regular_witnesses(ring)[a]
+
+
+def unit_regular_witnesses(ring: FiniteRing) -> dict[int, Optional[tuple[int, int]]]:
+    """Every element a mapped to its first unit middle term (u, u_inverse)
+    with a = a*u*a, or None; one pass over the carrier, memoised.
+
+    units() comes first: it fills the tables of a carrier that fills any.
+    With a mul table to read (a corner reads its ambient ring's), each a
+    takes its row once and walks the units in ascending code order to the
+    first u with (a*u)*a == a, as mul3 computes it. Otherwise each a is one
+    find_sandwich over the units. Treat the returned dict as read-only.
+    """
+    def sweep() -> dict[int, Optional[tuple[int, int]]]:
         units = ring.units()
-        u = ring.find_sandwich(a, units, a, a)
-        found[a] = None if u is None else (u, units[u])
-    return found[a]
+        t = ring._kernel_table()
+        found: dict[int, Optional[tuple[int, int]]] = {}
+        if t is None:
+            find = ring.find_sandwich
+            for a in ring.elements():
+                u = find(a, units, a, a)
+                found[a] = None if u is None else (u, units[u])
+            return found
+        for a in ring.elements():
+            row = t[a]
+            for u in units:
+                if t[row[u]][a] == a:
+                    found[a] = (u, units[u])
+                    break
+            else:
+                found[a] = None
+        return found
+
+    return ring.cached("unit_regular_witness", sweep)
 
 
 def one_sided_unit_regular_witness(ring: FiniteRing, a: int,
@@ -160,8 +196,10 @@ def regular_set(ring: FiniteRing) -> tuple[int, ...]:
 
 
 def unit_regular_set(ring: FiniteRing) -> tuple[int, ...]:
+    """Unit-regular elements, ascending: the keys of unit_regular_witnesses
+    with a witness."""
     return ring.cached("unit_regular_set", lambda: tuple(
-        a for a in ring.elements() if unit_regular_witness(ring, a) is not None))
+        a for a, pair in unit_regular_witnesses(ring).items() if pair is not None))
 
 
 def is_unit_regular_ring(ring: FiniteRing) -> bool:

@@ -184,8 +184,12 @@ class FiniteRing:
     candidate, in the order given, whose product is a target, and
     sandwiches yields every product lazily. Each reads the rows of the mul
     table when one is filled (a corner reads its ambient ring's) and calls
-    the bound mul otherwise, so the choice lives here alone. sums is the
-    one kernel of addition and reads the ring's own add table the same way.
+    the bound mul otherwise. _kernel_table() names that table; the one
+    other reader is regularity.unit_regular_witnesses, which asks it after
+    units() and, when there is one, runs the unit-regular search of every
+    element in one loop over its rows, with find_sandwich's order and
+    result. sums is the one kernel of addition and reads the ring's own add
+    table the same way.
 
     Derived sweeps live in one per-instance memo, filled through cached(),
     so they are freed with the ring.
@@ -204,7 +208,7 @@ class FiniteRing:
         """Value of a derived sweep, computed by compute() on first use.
 
         Per-element results live in a dict stored under one key, e.g.
-        cached("unit_regular_witness", dict). Callers racing on a key may
+        cached("zero_divisor_status", dict). Callers racing on a key may
         each compute it; sweeps are deterministic, so they store equal values.
         """
         memo = self._memo

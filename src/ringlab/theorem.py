@@ -33,9 +33,9 @@ sets, takes the sums a + b from one add-table row per a, and keeps the rows
 on _Sweeps; require_consistent is its strict check, and decides one
 element per corner again through theorem_verdict. theorem_verdict and
 check_condition are the per-element API: they also return a witness for
-each condition, read the memo of unit-regular witnesses directly, calling
-the search only for a sum not yet in it, and are the tests' oracle of the
-sweep.
+each condition, read each sum's witness off R's map of unit-regular
+witnesses (regularity.unit_regular_witnesses, one pass over R, built with
+the _Sweeps), and are the tests' oracle of the sweep.
 
 Witness recovery goes the other way: from a unit-regularity equation for
 a + b in R it rebuilds a corner witness u' = e(u - u*b*u)e, v' = e*v*e and
@@ -58,6 +58,7 @@ from .corners import Idempotent, as_idempotent, complement, corner_ring, idempot
 from .regularity import (
     one_sided_partner,
     unit_regular_witness,
+    unit_regular_witnesses,
     unit_regular_set,
     is_unit_regular_ring,
     zero_divisor_status,
@@ -103,7 +104,7 @@ class InconsistencyError(Exception):
 
 class _Sweeps:
     """What the conditions read at one idempotent e: the corners eRe and fRf,
-    the memo of unit-regular witnesses in R, and the candidates b of the
+    the map of unit-regular witnesses of R, and the candidates b of the
     sweeps of conditions 3 through 5: the units of fRf for 3 and 3', its
     unit-regular elements for 4 and 4', and its non zero divisors for 5;
     and the rows of corner_verdicts once they are found."""
@@ -112,7 +113,7 @@ class _Sweeps:
         self.idem = idem
         self.ee = corner_ring(ring, idem)
         ff = corner_ring(ring, complement(ring, idem))
-        self.witnesses = ring.cached("unit_regular_witness", dict)
+        self.witnesses = unit_regular_witnesses(ring)
         units = tuple(ff.units())
         unit_regular = unit_regular_set(ff)
         self._fixed = {"3": units, "3'": units, "4": unit_regular, "4'": unit_regular}
@@ -174,7 +175,7 @@ def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
     found = sweeps.witnesses
     if label == "2":
         s = ring.add(a, idem.f)
-        pair = found[s] if s in found else unit_regular_witness(ring, s)
+        pair = found[s]
         return (pair is not None,
                 {"sum": s, "u": pair[0], "u_inv": pair[1]} if pair else None)
 
@@ -183,8 +184,7 @@ def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
     universal, add = _SWEEPS[label], ring.add
     checked = 0
     for b in sweeps.candidates(label):
-        s = add(a, b)
-        pair = found[s] if s in found else unit_regular_witness(ring, s)
+        pair = found[add(a, b)]
         if universal and pair is None:
             return (False, {"failing_b": b})
         if not universal and pair is not None:
@@ -584,17 +584,11 @@ def _inheritance_report(ring: FiniteRing) -> InheritanceReport:
         corner_ur = len(corner_set) == ee.size
         constructive: Optional[bool] = None
         if ambient_ur:
-            constructive = True
-            for a in ee.elements():
-                pair = unit_regular_witness(ring, ring.add(a, idem.f))
-                if pair is None:
-                    constructive = False
-                    break
-                witness = extract_corner_witness(ring, idem, a, idem.f,
-                                                 pair[0], pair[1])
-                if not witness.ok:
-                    constructive = False
-                    break
+            # every a + f has a witness: R is unit regular
+            found, f = unit_regular_witnesses(ring), idem.f
+            constructive = all(
+                extract_corner_witness(ring, idem, a, f, *found[ring.add(a, f)]).ok
+                for a in ee.elements())
         corners.append(CornerInheritance(
             e=idem.e, f=idem.f, corner_size=ee.size,
             inclusion_ok=inclusion_ok, corner_unit_regular=corner_ur,

@@ -5,10 +5,13 @@ every condition of the theorem engine reads the same memo, so a wrong entry
 would skew them all alike. The oracles here therefore rescan each carrier
 with nothing but the ring's add and mul, written out in this file, on every
 curated ring and on both corners of each of its idempotents, and on one
-carrier for each kind of compact table row. units() asks each element's
-inverse_of, tabled or not, so it is checked against a two-sided scan on
-filled carriers up to the 1024-element edge, and where an inverse is only
-one-sided.
+carrier for each kind of compact table row. The unit-regular witnesses of
+a whole carrier are found in one pass, by a loop over the table rows or,
+on a carrier above the table threshold, one find_sandwich per element;
+both are checked against the scan. units() asks each element's inverse_of,
+tabled or not, so it is checked against a two-sided scan on filled
+carriers up to the 1024-element edge, and the two-sided scan behind the
+generic inverse_of is checked where an inverse is only one-sided.
 """
 
 import gc
@@ -20,6 +23,7 @@ from ringlab import (
     CURATED_FAMILY,
     TableRing,
     ZmodRing,
+    as_idempotent,
     build_ring,
     classify_payload,
     complement,
@@ -46,14 +50,21 @@ def scan_units(ring):
     return units
 
 
+def scan_unit_regular(ring, units):
+    """a -> the first (u, v) of units, in their order, with (a*u)*a == a."""
+    return {a: next(((u, v) for u, v in units.items()
+                     if ring.mul(ring.mul(a, u), a) == a), None)
+            for a in ring.elements()}
+
+
 def assert_memo_matches_scans(ring):
     elems = list(ring.elements())
     units = scan_units(ring)
+    pairs = scan_unit_regular(ring, units)
     zero = ring.zero
     expected_ur, expected_reg = [], []
     for a in elems:
-        pair = next(((u, v) for u, v in units.items()
-                     if ring.mul(ring.mul(a, u), a) == a), None)
+        pair = pairs[a]
         t = next((t for t in elems if ring.mul(ring.mul(a, t), a) == a), None)
         left = any(ring.mul(a, c) == zero for c in elems if c != zero)
         right = any(ring.mul(c, a) == zero for c in elems if c != zero)
@@ -123,31 +134,68 @@ def test_units_of_filled_carriers_match_scan(spec):
     assert units == {x: v for x in ring.elements() if (v := ring._scan_inverse(x)) is not None}
 
 
-def _one_sided_units_match_scan(ring):
-    scanned = {x: v for x in ring.elements() if (v := ring._scan_inverse(x)) is not None}
-    assert ring.units() == scanned
-    return scanned
-
-
 def test_units_skip_one_sided_inverses_in_list_rows():
     # 3*2 = 1 but 2*3 = 6, ahead of 3's inverse 5; 4*3 = 1, 3*4 = 5, and 4
     # has no two-sided inverse left
     broken = TableRing.from_ring(ZmodRing(7), override_mul={(3, 2): 1, (4, 2): 6,
                                                             (4, 3): 1})
-    units = _one_sided_units_match_scan(broken)
+    units = broken.units()
+    assert units == {x: v for x in broken.elements()
+                     if (v := broken._scan_inverse(x)) is not None}
     assert units[3] == 5 and 4 not in units
 
 
 @pytest.mark.parametrize("n, typecode", [(200, "B"), (300, "H")])
-def test_units_skip_one_sided_inverses_in_array_rows(n, typecode):
+def test_scan_inverse_skips_one_sided_inverses_in_array_rows(n, typecode):
+    # Z_n's units come from gcd, so the generic scan is asked directly: it
+    # reads these rows through mul
     ring = ZmodRing(n)
     ring._fill_tables()
     table = ring._mul_table
     assert table[7].typecode == typecode
     inverse = pow(7, -1, n)
     table[7][2] = 1  # 7*2 = 1 now, but 2*7 = 14
-    units = _one_sided_units_match_scan(ring)
-    assert units[7] == inverse > 2
+    assert ring._scan_inverse(7) == inverse > 2
+
+
+def assert_witnesses_match_scan(ring):
+    expected = scan_unit_regular(ring, scan_units(ring))
+    assert {a: unit_regular_witness(ring, a) for a in ring.elements()} == expected
+    assert unit_regular_set(ring) == tuple(a for a, pair in expected.items() if pair)
+
+
+def test_untabled_witnesses_match_scans_on_z1025_and_corners():
+    # above the table threshold: one find_sandwich per element, on the ring
+    # and on its corners of 25 and 41 elements
+    ring = ZmodRing(1025)
+    assert_witnesses_match_scan(ring)
+    assert ring._kernel_table() is None
+    for e, size in ((451, 25), (575, 41)):
+        corner = corner_ring(ring, as_idempotent(ring, e))
+        assert corner.size == size
+        assert_witnesses_match_scan(corner)
+
+
+def test_tabled_witness_is_the_first_unit_with_au_then_a():
+    # 3*1 = 0 now, so (3*1)*3 = 0 and 1 fails, though 3*(1*3) = 3; the
+    # witness of 3 is the next unit, 5
+    rigged = TableRing.from_ring(ZmodRing(6), override_mul={(3, 1): 0})
+    assert rigged._kernel_table() is not None
+    assert rigged.units() == {1: 1, 5: 5}
+    assert unit_regular_witness(rigged, 3) == (5, 5)
+    assert_memo_matches_scans(rigged)
+
+
+@pytest.mark.parametrize("spec", ["M2(Z2)", "Z12", "Z1025"])
+def test_unit_regular_set_fills_the_witness_of_every_element(spec):
+    # one pass: the set's sweep leaves a memo entry for every element, on
+    # the ring and on a proper corner
+    ring = build_ring(spec)
+    corner = corner_ring(ring, next(idem for idem in idempotents(ring)
+                                    if idem.e not in (0, ring.one)))
+    for r in (ring, corner):
+        unit_regular_set(r)
+        assert r._memo["unit_regular_witness"].keys() == set(r.elements())
 
 
 def test_sets_read_from_a_filled_memo_match_scans():
