@@ -50,7 +50,6 @@ from .report import (
     witness_payload,
 )
 from .rings import (
-    _TABLE_THRESHOLD,
     DEFAULT_AXIOM_CAP,
     DEFAULT_SIZE_CAP,
     FiniteRing,
@@ -222,12 +221,13 @@ _parser: Optional[argparse.ArgumentParser] = None
 # Rings built by earlier requests, least recently used first, keyed by the
 # parsed description, so respellings share an entry. A ring's memo holds
 # every sweep already run on it, and a repeated request reads it. The budget
-# is in table entries: the add and mul tables of the largest tabled carrier.
+# is in table entries, 2 * 1024**2: the add and mul tables of a carrier of
+# 1024 elements, the largest that fills its tables today.
 # A ring weighs size**2, plus _TERM_WEIGHT per product term its matrix
 # constructors list (a tuple of two ints, about the bytes of 32 two-byte
 # entries), so matrices over the zero ring, of one element each, are weighed
 # too. A ring over the budget alone is never kept.
-RING_CACHE_BUDGET = 2 * _TABLE_THRESHOLD ** 2
+RING_CACHE_BUDGET = 2 * 1024 ** 2
 _TERM_WEIGHT = 32
 _rings: "OrderedDict[RingSpec, tuple[FiniteRing, int]]" = OrderedDict()
 _rings_weight = 0

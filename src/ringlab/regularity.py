@@ -4,13 +4,13 @@ An element a is regular when a = a*t*a for some t, and unit regular when some
 such middle term is a unit. Each search runs once per element and ring: its
 result is memoised on the ring instance, and the sets are read off the
 per-element results. The unit-regular search runs for the whole carrier in
-one pass (unit_regular_witnesses): with a mul table to read, one nested loop
-over the rows finds every element's first unit middle term in ascending
-code order; without one, it calls FiniteRing.find_sandwich once per
-element. unit_regular_witness and unit_regular_set read that map. The other
+one pass (unit_regular_witnesses), one call of the ring's middle_terms
+kernel over its units, and keeps each element's first unit middle term in
+ascending code order, or None; unit_regular_witness and unit_regular_set
+read that map, and the unit's inverse is read from units(). The other
 searches run per element, each one call of a product kernel of the ring
-(find_sandwich and its kin), which reads the ring's mul table rows when they
-are filled and stops at the first hit in ascending code order.
+(find_sandwich and its kin). Every kernel stops at the first hit in
+ascending code order; how it reads products is the ring's business.
 
 The one-sided variants ask for a middle term with a one-sided inverse. On a
 finite carrier they coincide with the two-sided notion: if uv = 1 then
@@ -100,43 +100,21 @@ def unit_regular_witness(ring: FiniteRing, a: int) -> Optional[tuple[int, int]]:
     """First unit middle term (u, u_inverse) with a = a*u*a, or None.
 
     A lookup in unit_regular_witnesses, so the first call on a ring runs the
-    search for every element of it, on an untabled carrier too.
+    search for every element of it, on an untabled carrier too; u's inverse
+    comes from units().
     """
     ring.check_element(a)
-    return unit_regular_witnesses(ring)[a]
+    u = unit_regular_witnesses(ring)[a]
+    return None if u is None else (u, ring.units()[u])
 
 
-def unit_regular_witnesses(ring: FiniteRing) -> dict[int, Optional[tuple[int, int]]]:
-    """Every element a mapped to its first unit middle term (u, u_inverse)
-    with a = a*u*a, or None; one pass over the carrier, memoised.
-
-    units() comes first: it fills the tables of a carrier that fills any.
-    With a mul table to read (a corner reads its ambient ring's), each a
-    takes its row once and walks the units in ascending code order to the
-    first u with (a*u)*a == a, as mul3 computes it. Otherwise each a is one
-    find_sandwich over the units. Treat the returned dict as read-only.
-    """
-    def sweep() -> dict[int, Optional[tuple[int, int]]]:
-        units = ring.units()
-        t = ring._kernel_table()
-        found: dict[int, Optional[tuple[int, int]]] = {}
-        if t is None:
-            find = ring.find_sandwich
-            for a in ring.elements():
-                u = find(a, units, a, a)
-                found[a] = None if u is None else (u, units[u])
-            return found
-        for a in ring.elements():
-            row = t[a]
-            for u in units:
-                if t[row[u]][a] == a:
-                    found[a] = (u, units[u])
-                    break
-            else:
-                found[a] = None
-        return found
-
-    return ring.cached("unit_regular_witness", sweep)
+def unit_regular_witnesses(ring: FiniteRing) -> dict[int, Optional[int]]:
+    """Every element a mapped to its first unit u, in ascending code order,
+    with a = a*u*a, or None: the ring's middle_terms over its units(),
+    memoised. units() runs first, so a carrier that fills its tables has
+    filled them before the kernel looks for rows. Treat the returned dict
+    as read-only."""
+    return ring.cached("unit_regular_witness", lambda: ring.middle_terms(ring.units()))
 
 
 def one_sided_unit_regular_witness(ring: FiniteRing, a: int,
@@ -199,7 +177,7 @@ def unit_regular_set(ring: FiniteRing) -> tuple[int, ...]:
     """Unit-regular elements, ascending: the keys of unit_regular_witnesses
     with a witness."""
     return ring.cached("unit_regular_set", lambda: tuple(
-        a for a, pair in unit_regular_witnesses(ring).items() if pair is not None))
+        a for a, u in unit_regular_witnesses(ring).items() if u is not None))
 
 
 def is_unit_regular_ring(ring: FiniteRing) -> bool:

@@ -80,10 +80,10 @@ def classify_payload(ring: FiniteRing) -> tuple[dict, bool]:
     """Counts of regularity.classify's kinds over the carrier and, up to
     _ELEMENT_LISTING_CAP elements, the listings; above it none is built.
 
-    Each element's record reads its pair from unit_regular_witnesses, the
-    map unit_regular_set was read off, as classify does: with a pair, a is
-    unit regular with t = u; without one, it is not regular. Reprs come
-    from element_reprs().
+    Each element's record reads its unit u from unit_regular_witnesses, the
+    map unit_regular_set was read off, and u's inverse from units(), as
+    classify does: with a unit, a is unit regular with t = u; without one,
+    it is not regular. Reprs come from element_reprs().
     """
     ur_set = unit_regular_set(ring)
     kinds: dict[str, int] = {kind.value: 0 for kind in RegularityKind}
@@ -104,14 +104,14 @@ def classify_payload(ring: FiniteRing) -> tuple[dict, bool]:
     }
     if ring.size <= _ELEMENT_LISTING_CAP:
         ur, nr = RegularityKind.UNIT_REGULAR.value, RegularityKind.NOT_REGULAR.value
-        found = unit_regular_witnesses(ring)
+        found, units = unit_regular_witnesses(ring), ring.units()
         payload.update(
-            units=[[u, u_inv] for u, u_inv in ring.unit_pairs()],
+            units=[[u, u_inv] for u, u_inv in units.items()],
             idempotents=[idem.e for idem in idempotents(ring)],
             unit_regular_set=list(ur_set),
             regular_set=list(ur_set),
-            elements=[{"code": a, "repr": r, "kind": ur, "t": p[0], "u": p[0], "u_inv": p[1]}
-                      if (p := found[a]) else
+            elements=[{"code": a, "repr": r, "kind": ur, "t": u, "u": u, "u_inv": units[u]}
+                      if (u := found[a]) is not None else
                       {"code": a, "repr": r, "kind": nr, "t": None, "u": None, "u_inv": None}
                       for a, r in zip(ring.elements(), ring.element_reprs())])
     return payload, True

@@ -27,7 +27,7 @@ from array import array
 from functools import partial
 from itertools import product, repeat
 from operator import eq, itemgetter
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_SIZE_CAP = 2 ** 20
 DEFAULT_AXIOM_CAP = 2 ** 8
@@ -181,15 +181,12 @@ class FiniteRing:
 
     The exhaustive searches read products through the kernels, one per
     product shape: find_left, find_right and find_sandwich return the first
-    candidate, in the order given, whose product is a target, and
-    sandwiches yields every product lazily. Each reads the rows of the mul
-    table when one is filled (a corner reads its ambient ring's) and calls
-    the bound mul otherwise. _kernel_table() names that table; the one
-    other reader is regularity.unit_regular_witnesses, which asks it after
-    units() and, when there is one, runs the unit-regular search of every
-    element in one loop over its rows, with find_sandwich's order and
-    result. sums is the one kernel of addition and reads the ring's own add
-    table the same way.
+    candidate, in the order given, whose product is a target, sandwiches
+    yields every product lazily, and middle_terms runs the search
+    a = (a*x)*a for every element at once. Each reads the rows of the mul
+    table that _kernel_table() names when one is filled (a corner reads its
+    ambient ring's) and calls the bound mul otherwise. Which tables exist,
+    and how their rows are laid out, is known only to this module.
 
     Derived sweeps live in one per-instance memo, filled through cached(),
     so they are freed with the ring.
@@ -317,24 +314,6 @@ class FiniteRing:
         row = t[a]
         return (t[row[x]][b] for x in xs)
 
-    def sums(self, xs: Iterable[int]) -> Callable[[int], Sequence[int]]:
-        """The map a -> (a + x for each x of xs, in order), as add computes it.
-
-        With the ring's own add table filled, each call takes its sums from
-        row a in C, through one itemgetter built here for every a; otherwise
-        (a corner included) it calls add per x. Unlike units(), it never
-        fills the tables first.
-        """
-        xs = tuple(xs)
-        t = self._add_table
-        if t is None:
-            add = self.add
-            return lambda a: [add(a, x) for x in xs]
-        if len(xs) < 2:  # itemgetter of one index returns a bare entry
-            return lambda a: [t[a][x] for x in xs]
-        take = itemgetter(*xs)
-        return lambda a: take(t[a])
-
     def find_left(self, a: int, xs: Iterable[int], target: int) -> Optional[int]:
         """The first x of xs with a*x == target, or None."""
         t = self._kernel_table()
@@ -361,6 +340,26 @@ class FiniteRing:
         row = t[a]
         return next((x for x in xs if t[row[x]][b] == target), None)
 
+    def middle_terms(self, xs: Collection[int]) -> dict[int, Optional[int]]:
+        """Every element a mapped to find_sandwich(a, xs, a, a): the first x
+        of xs with (a*x)*a == a, or None. With a mul table to read, each a
+        takes its row once and walks xs in one loop; otherwise each a is one
+        find_sandwich."""
+        t = self._kernel_table()
+        if t is None:
+            find = self.find_sandwich
+            return {a: find(a, xs, a, a) for a in self.elements()}
+        found: dict[int, Optional[int]] = {}
+        for a in self.elements():
+            row = t[a]
+            for x in xs:
+                if t[row[x]][a] == a:
+                    found[a] = x
+                    break
+            else:
+                found[a] = None
+        return found
+
     # units -------------------------------------------------------------------
 
     def inverse_of(self, x: int) -> Optional[int]:
@@ -385,9 +384,6 @@ class FiniteRing:
             return {x: v for x in self.elements() if (v := self.inverse_of(x)) is not None}
 
         return self.cached("units", sweep)
-
-    def unit_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.units().items())
 
     # codecs and display ------------------------------------------------------
 
@@ -834,6 +830,8 @@ class TableRing(FiniteRing):
                 for v in row:
                     if not 0 <= v < n:
                         raise ValueError(f"{name} table entry {v} out of range")
+        if not 0 <= one < n:
+            raise ValueError(f"identity {one} out of range")
         add = [list(row) for row in add_table]
         mul = [list(row) for row in mul_table]
         neg = []

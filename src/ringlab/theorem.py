@@ -29,13 +29,14 @@ idempotent (_Sweeps).
 The engine comes in two forms that give the same values. verify-theorem and
 family read corner_verdicts, which decides all seven conditions for every a
 of a corner at once from the unit-regular elements of R and of eRe read as
-sets, takes the sums a + b from one add-table row per a, and keeps the rows
-on _Sweeps; require_consistent is its strict check, and decides one
-element per corner again through theorem_verdict. theorem_verdict and
-check_condition are the per-element API: they also return a witness for
-each condition, read each sum's witness off R's map of unit-regular
-witnesses (regularity.unit_regular_witnesses, one pass over R, built with
-the _Sweeps), and are the tests' oracle of the sweep.
+sets, forms each sum a + b once with add, and keeps the rows on _Sweeps;
+require_consistent is its strict check, and decides one element per
+corner again through theorem_verdict. theorem_verdict and check_condition
+are the per-element API: they also return a witness for each condition,
+read each sum's witness unit off R's map of unit-regular witnesses
+(regularity.unit_regular_witnesses, one pass over R, built with the
+_Sweeps) and its inverse off R's units(), and are the tests' oracle of the
+sweep.
 
 Witness recovery goes the other way: from a unit-regularity equation for
 a + b in R it rebuilds a corner witness u' = e(u - u*b*u)e, v' = e*v*e and
@@ -104,16 +105,18 @@ class InconsistencyError(Exception):
 
 class _Sweeps:
     """What the conditions read at one idempotent e: the corners eRe and fRf,
-    the map of unit-regular witnesses of R, and the candidates b of the
-    sweeps of conditions 3 through 5: the units of fRf for 3 and 3', its
-    unit-regular elements for 4 and 4', and its non zero divisors for 5;
-    and the rows of corner_verdicts once they are found."""
+    the map of unit-regular witnesses of R and R's units, which give each
+    witness's inverse, and the candidates b of the sweeps of conditions 3
+    through 5: the units of fRf for 3 and 3', its unit-regular elements for
+    4 and 4', and its non zero divisors for 5; and the rows of
+    corner_verdicts once they are found."""
 
     def __init__(self, ring: FiniteRing, idem: Idempotent) -> None:
         self.idem = idem
         self.ee = corner_ring(ring, idem)
         ff = corner_ring(ring, complement(ring, idem))
         self.witnesses = unit_regular_witnesses(ring)
+        self.inverse = ring.units()
         units = tuple(ff.units())
         unit_regular = unit_regular_set(ff)
         self._fixed = {"3": units, "3'": units, "4": unit_regular, "4'": unit_regular}
@@ -172,23 +175,23 @@ def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
         return (pair is not None,
                 {"u": pair[0], "u_inv": pair[1]} if pair else None)
 
-    found = sweeps.witnesses
+    found, inverse = sweeps.witnesses, sweeps.inverse
     if label == "2":
         s = ring.add(a, idem.f)
-        pair = found[s]
-        return (pair is not None,
-                {"sum": s, "u": pair[0], "u_inv": pair[1]} if pair else None)
+        u = found[s]
+        return (u is not None,
+                None if u is None else {"sum": s, "u": u, "u_inv": inverse[u]})
 
     if label not in _SWEEPS:
         raise ValueError(f"unknown condition label {label!r}")
     universal, add = _SWEEPS[label], ring.add
     checked = 0
     for b in sweeps.candidates(label):
-        pair = found[add(a, b)]
-        if universal and pair is None:
+        u = found[add(a, b)]
+        if universal and u is None:
             return (False, {"failing_b": b})
-        if not universal and pair is not None:
-            return (True, {"b": b, "u": pair[0], "u_inv": pair[1]})
+        if not universal and u is not None:
+            return (True, {"b": b, "u": u, "u_inv": inverse[u]})
         checked += 1
     return (True, {"checked": checked}) if universal else (False, None)
 
@@ -203,7 +206,7 @@ def corner_verdicts(ring: FiniteRing,
     with the searches read as sets: 1 asks whether a is among the
     unit-regular elements of eRe, 2 whether a + f is among those of R. 3
     and 4 ask whether R's set holds every sum a + b over their candidates
-    b, read off one add-table row per a; 3' and 4' ask whether it holds
+    b, each formed once per a by add; 3' and 4' ask whether it holds
     one. 5 scans the non zero divisors of fRf lazily, as check_condition
     does, up to the first b with a + b in R's set.
     """
@@ -217,11 +220,11 @@ def _corner_rows(ring: FiniteRing, sweeps: _Sweeps) -> dict[int, tuple[bool, ...
     ur = frozenset(unit_regular_set(ring))
     corner_ur = frozenset(unit_regular_set(sweeps.ee))
     f, add = sweeps.idem.f, ring.add
-    with_units = ring.sums(sweeps.candidates("3"))
-    with_unit_regular = ring.sums(sweeps.candidates("4"))
+    units, unit_regular = sweeps.candidates("3"), sweeps.candidates("4")
     rows = {}
     for a in sweeps.ee.elements():
-        by_units, by_unit_regular = with_units(a), with_unit_regular(a)
+        by_units = [add(a, b) for b in units]
+        by_unit_regular = [add(a, b) for b in unit_regular]
         rows[a] = (
             a in corner_ur,
             add(a, f) in ur,
@@ -585,9 +588,10 @@ def _inheritance_report(ring: FiniteRing) -> InheritanceReport:
         constructive: Optional[bool] = None
         if ambient_ur:
             # every a + f has a witness: R is unit regular
-            found, f = unit_regular_witnesses(ring), idem.f
+            found, inverse, f = unit_regular_witnesses(ring), ring.units(), idem.f
             constructive = all(
-                extract_corner_witness(ring, idem, a, f, *found[ring.add(a, f)]).ok
+                extract_corner_witness(ring, idem, a, f, u := found[ring.add(a, f)],
+                                       inverse[u]).ok
                 for a in ee.elements())
         corners.append(CornerInheritance(
             e=idem.e, f=idem.f, corner_size=ee.size,
@@ -656,9 +660,13 @@ def build_m2_scaffold(base, s, t, size_cap: int = DEFAULT_SIZE_CAP) -> M2Scaffol
     """Run the 2x2 scaffold over any ring exposing zero/one, add/mul/neg.
 
     Raises ValueError unless s*t*s = s, which is the scaffold's only input
-    hypothesis. For a finite base the corner question is settled by search
-    inside an actual 2x2 matrix ring and cross-checked against the base.
+    hypothesis, or when s or t is not an element code of a finite base. For
+    a finite base the corner question is settled by search inside an
+    actual 2x2 matrix ring and cross-checked against the base.
     """
+    if isinstance(base, FiniteRing):
+        base.check_element(s)
+        base.check_element(t)
     zero, one = base.zero, base.one
     if base.mul(base.mul(s, t), s) != s:
         raise ValueError("scaffold needs s*t*s = s in the base ring")

@@ -92,7 +92,7 @@ def test_criterion_3_witness_extraction_all_valid_tuples(rings):
             for a in ee.elements():
                 for b in clear:
                     x = ring.add(a, b)
-                    for u, u_inv in ring.unit_pairs():
+                    for u, u_inv in ring.units().items():
                         if ring.mul3(x, u, x) != x:
                             continue
                         w = extract_corner_witness(ring, idem, a, b, u, u_inv)

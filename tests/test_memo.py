@@ -6,9 +6,10 @@ would skew them all alike. The oracles here therefore rescan each carrier
 with nothing but the ring's add and mul, written out in this file, on every
 curated ring and on both corners of each of its idempotents, and on one
 carrier for each kind of compact table row. The unit-regular witnesses of
-a whole carrier are found in one pass, by a loop over the table rows or,
-on a carrier above the table threshold, one find_sandwich per element;
-both are checked against the scan. units() asks each element's inverse_of,
+a whole carrier are found in one pass of the ring's middle_terms kernel,
+by a loop over the table rows or, on a carrier above the table threshold,
+one find_sandwich per element; it is checked against find_sandwich and
+the witnesses against the scan. units() asks each element's inverse_of,
 tabled or not, so it is checked against a two-sided scan on filled
 carriers up to the 1024-element edge, and the two-sided scan behind the
 generic inverse_of is checked where an inverse is only one-sided.
@@ -57,7 +58,18 @@ def scan_unit_regular(ring, units):
             for a in ring.elements()}
 
 
+def assert_middle_terms_match_find_sandwich(ring):
+    # the one-pass kernel against one find_sandwich per element, over the
+    # units and over every element
+    for xs in (ring.units(), ring.elements()):
+        found = ring.middle_terms(xs)
+        assert list(found) == list(ring.elements())
+        for a in ring.elements():
+            assert found[a] == ring.find_sandwich(a, xs, a, a), (ring, a)
+
+
 def assert_memo_matches_scans(ring):
+    assert_middle_terms_match_find_sandwich(ring)
     elems = list(ring.elements())
     units = scan_units(ring)
     pairs = scan_unit_regular(ring, units)
@@ -105,22 +117,6 @@ def test_memo_matches_plain_scans_on_array_rows(spec, typecode):
         assert_memo_matches_scans(corner)
 
 
-@pytest.mark.parametrize("spec, fill", [("Z6", True), ("M2(Z4)", True), ("T2(Z8)", True),
-                                        ("Z210", False)])
-def test_sums_kernel_matches_add(spec, fill):
-    # list, 'B' and 'H' add rows and an untabled ring; zero, one and many
-    # summands
-    ring = build_ring(spec)
-    if fill:
-        ring._fill_tables()
-    assert (ring._add_table is not None) == fill
-    codes = tuple(ring.elements())
-    for xs in ((), (ring.one,), codes[::7], codes):
-        sums = ring.sums(xs)
-        for a in codes[::5]:
-            assert list(sums(a)) == [ring.add(a, x) for x in xs], (spec, a, len(xs))
-
-
 @pytest.mark.parametrize("spec", ["Z300", "Z1000", "M2(Z5)", "T4(Z2)", "M2(Z4)xZ2",
                                   "T2(Z4)xZ2"])
 def test_units_of_filled_carriers_match_scan(spec):
@@ -159,6 +155,7 @@ def test_scan_inverse_skips_one_sided_inverses_in_array_rows(n, typecode):
 
 
 def assert_witnesses_match_scan(ring):
+    assert_middle_terms_match_find_sandwich(ring)
     expected = scan_unit_regular(ring, scan_units(ring))
     assert {a: unit_regular_witness(ring, a) for a in ring.elements()} == expected
     assert unit_regular_set(ring) == tuple(a for a, pair in expected.items() if pair)

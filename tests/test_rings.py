@@ -942,6 +942,9 @@ def test_table_ring_validates_shape_and_range():
         TableRing([[0, 1], [1, 0]], [[0, 0], [0]], one=1)
     with pytest.raises(ValueError):
         TableRing([[0, 1], [1, 9]], [[0, 0], [0, 1]], one=1)
+    for one in (5, -1):  # an identity outside the carrier
+        with pytest.raises(ValueError, match="out of range"):
+            TableRing([[0, 1], [1, 0]], [[0, 0], [0, 1]], one=one)
 
 
 # element checks -----------------------------------------------------------------

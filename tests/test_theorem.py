@@ -25,7 +25,9 @@ from ringlab import (
     as_idempotent,
     build_m2_scaffold,
     build_ring,
+    classify_payload,
     TableRing,
+    ZmodRing,
     check_condition,
     check_ring_axioms,
     complement,
@@ -119,6 +121,27 @@ def test_condition5_candidates_are_exactly_the_corner_units(rings):
 
 
 # verdicts and sweeps ----------------------------------------------------------
+
+
+def test_zero_ring_witness_is_the_unit_zero():
+    # in Z1 the only unit, and every witness, is code 0, the one falsy code:
+    # a reader that tests a witness for truth instead of None drops it
+    ring = ZmodRing(1)
+    payload, ok = classify_payload(ring)
+    assert ok
+    assert payload["units"] == [[0, 0]]
+    assert payload["elements"] == [{"code": 0, "repr": "0", "kind": "unit_regular",
+                                    "t": 0, "u": 0, "u_inv": 0}]
+    (idem,) = idempotents(ring)
+    assert (idem.e, idem.f) == (0, 0)
+    report = theorem_verdict(ring, idem, 0)
+    assert report.consistent and all(report.conditions.values())
+    witness = {"u": 0, "u_inv": 0}
+    assert report.witnesses == {
+        "1": witness, "2": {"sum": 0, **witness}, "3": {"checked": 1},
+        "3'": {"b": 0, **witness}, "4": {"checked": 1}, "4'": {"b": 0, **witness},
+        "5": {"b": 0, **witness}}
+    assert verify_ur_inheritance(ring).corners[0].constructive_ok is True
 
 
 def test_verdict_shape_and_consistency(rings):
@@ -581,6 +604,16 @@ def test_inheritance_reports_a_corner_that_is_not_unit_regular():
 def test_scaffold_rejects_non_regular_seed(rings):
     with pytest.raises(ValueError):
         build_m2_scaffold(rings("Z4"), s=2, t=1)  # 2*1*2 = 0 != 2
+
+
+def test_scaffold_refuses_codes_outside_a_finite_base():
+    # a tabled base reads s and t as row indices: 9 is past the last row,
+    # and -1 would index from the end
+    z4 = ZmodRing(4)
+    z4.tabulate()
+    for s, t in ((9, 1), (1, 9), (-1, 3), (3, -1)):
+        with pytest.raises(ValueError, match="not an element code"):
+            build_m2_scaffold(z4, s, t)
 
 
 def test_scaffold_finite_base_z4(rings):
