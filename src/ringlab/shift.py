@@ -18,7 +18,6 @@ leftover columns as exceptions, so equal maps compare equal as values.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Iterable, Mapping
 
 from .rings import SizeCapError, _Value, _set
@@ -140,6 +139,11 @@ class BandOperator(_Value):
     def __add__(self, other: "BandOperator") -> "BandOperator":
         if not isinstance(other, BandOperator):
             return NotImplemented
+        # operands are normal forms, so a sum with zero is the other operand
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         offsets = tuple(set(self.offsets) ^ set(other.offsets))
         bound = max(self.stable_bound, other.stable_bound)
         return _canonical(offsets, bound,
@@ -155,9 +159,15 @@ class BandOperator(_Value):
         """Ring product; self is applied after other."""
         if not isinstance(other, BandOperator):
             return NotImplemented
-        counts = Counter(dx + dy for dx in self.offsets for dy in other.offsets)
-        offsets = tuple(d for d, c in counts.items() if c % 2 == 1)
-        dy_min = min(other.offsets, default=0)
+        if self.is_zero or other.is_zero:
+            return BandOperator()
+        xs, ys = self.offsets, other.offsets
+        # an offset hit by an even number of diagonal pairs cancels over GF(2)
+        offsets: set[int] = set()
+        for dx in xs:
+            for dy in ys:
+                offsets ^= {dx + dy}
+        dy_min = min(ys, default=0)
         bound = max(other.stable_bound, self.stable_bound - dy_min, 0)
 
         def col(i: int) -> frozenset[int]:
@@ -204,27 +214,43 @@ def truncation_series(op: BandOperator, n: int) -> list[tuple[int, int]]:
     for k = 0..n, from one GF(2) elimination: column k does not depend on
     the truncation, so truncation k is truncation k-1 plus one column.
 
-    The codomain is padded to cover every hit target and at least the
-    domain, so an injective-but-not-surjective operator shows up as kernel 0
-    and cokernel > 0 at every truncation size. Finite snapshots are evidence
-    about the infinite operator, not a proof; the demo says so in its note.
+    Column k is read from the normal form straight into an int bitmask: the
+    exception's targets if column k has one, else bit k + d for each
+    diagonal (d, m) with k >= m and k + d >= 0. Its highest target is the
+    mask's bit_length less one. The codomain is padded to cover every hit
+    target and at least the domain, so an injective-but-not-surjective
+    operator shows up as kernel 0 and cokernel > 0 at every truncation size.
+    Finite snapshots are evidence about the infinite operator, not a proof;
+    the demo says so in its note.
     """
     if n < 0:
         raise ValueError(f"truncation size must be >= 0, got {n}")
+    exceptions = {i: sum(1 << j for j in targets) for i, targets in op.exceptions}
+    diagonals = op.diagonals
+    # pivots by bit_length, so each has its own leading bit; codomain is the
+    # padded codomain's dimension so far
     pivots: dict[int, int] = {}
-    max_target = -1
+    codomain = 0
     series = []
     for k in range(n + 1):
-        col = op.column(k)
-        if col:
-            max_target = max(max_target, max(col))
-        cur = sum(1 << j for j in col)
-        while cur and (msb := cur.bit_length() - 1) in pivots:
-            cur ^= pivots[msb]
-        if cur:
-            pivots[msb] = cur
+        cur = exceptions.get(k)
+        if cur is None:
+            cur = 0
+            for d, m in diagonals:
+                if k >= m and k + d >= 0:
+                    cur |= 1 << (k + d)
+        top = cur.bit_length()
+        if top > codomain:
+            codomain = top
+        if k >= codomain:
+            codomain = k + 1
+        while top in pivots:
+            cur ^= pivots[top]
+            top = cur.bit_length()
+        if top:
+            pivots[top] = cur
         rank = len(pivots)
-        series.append((k + 1 - rank, max(k + 1, max_target + 1) - rank))
+        series.append((k + 1 - rank, codomain - rank))
     return series
 
 

@@ -11,8 +11,8 @@ associating to the left. Cardinality is computed on the tree before any
 carrier is allocated, so a description that blows past the size cap is
 rejected without building anything. A description may nest at most
 MAX_SPEC_DEPTH brackets, and its tree may be at most MAX_SPEC_DEPTH levels
-high, so every recursion over a parsed tree stays shallow. A number may
-have at most max_number_digits() digits.
+high, so every recursion over a parsed tree stays shallow. A number is
+written in ASCII digits 0-9, at most max_number_digits() of them.
 """
 
 from __future__ import annotations
@@ -182,12 +182,19 @@ class _Parser:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
+        digits = self.text[start:self.pos]
+        # str.isdigit also holds for superscripts and other scripts' digits,
+        # some of which int() reads: refuse the first at its own offset
+        if not digits.isascii():
+            at = next(i for i, c in enumerate(digits) if not c.isascii())
+            raise RingSpecError(f"non-ASCII digit {digits[at]!a}", start + at,
+                                expected="an ASCII digit")
         if self.pos == start:
             raise RingSpecError("missing number", start, expected="a digit")
         bound = max_number_digits()
         if self.pos - start > bound:
             raise RingSpecError(f"number longer than {bound} digits", start)
-        value = int(self.text[start:self.pos])
+        value = int(digits)
         if value == 0:
             raise RingSpecError("size parameter must be positive", start)
         return value

@@ -547,6 +547,15 @@ def test_overlong_number_is_a_description_error_in_bounded_time(capsys):
     assert "set_int_max_str_digits" not in captured.err
 
 
+def test_non_ascii_digit_is_a_description_error(capsys):
+    # "Z\u00b2" is Z followed by a superscript two, a digit to str.isdigit
+    assert main(["classify", "--ring", "Z\u00b2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ringlab: bad ring description: non-ASCII digit "
+                            "'\\xb2' at offset 1 (expected an ASCII digit)\n")
+
+
 @pytest.mark.parametrize("spec", ["M40(M40(Z40))", "M99(M99(Z99))"])
 def test_astronomical_carrier_is_capped_in_bounded_time(capsys, schema, spec):
     code, doc, elapsed = timed_run(["classify", "--ring", spec])

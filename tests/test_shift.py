@@ -5,6 +5,8 @@ The independent oracle for composition is the column calculus itself:
 ring-law sweep runs the laws on a seeded random sample of operators, since
 the canonical form is where the bugs would live. The oracle for the
 incremental truncation ranks is a separate elimination per truncation size.
+A rigged band product must make the demo fail, also after a clean demo ran
+in the same process.
 """
 
 import random
@@ -18,6 +20,7 @@ from ringlab import (
     truncation_dims,
     truncation_series,
 )
+from ringlab.cli import EXIT_FAIL, EXIT_PASS, run_command
 
 S = BandOperator.right_shift()
 T = BandOperator.left_shift()
@@ -191,8 +194,10 @@ def per_size_dims(op, n):
     return (n + 1 - len(basis), codomain - len(basis))
 
 
-def test_series_matches_per_size_elimination():
-    rng = random.Random(20261018)
+def random_band_ops(seed):
+    """Seeded normal forms with offsets -4..4, diagonal starts up to 6 and
+    up to three exceptions, with the reference operators, sums and products."""
+    rng = random.Random(seed)
 
     def random_op():
         offsets = rng.sample(range(-4, 5), rng.randint(0, 4))
@@ -206,11 +211,16 @@ def test_series_matches_per_size_elimination():
     ops = base + [S, T, ONE, ZERO, P0, S * T]
     ops += [x + y for x in base[:6] for y in base[6:12]]
     ops += [x * y for x in base[:6] for y in base[6:12]]
-    for op in ops:
-        expect = [per_size_dims(op, n) for n in range(41)]
-        assert truncation_series(op, 40) == expect, op
-        for n in range(41):
-            assert truncation_dims(op, n) == expect[n], (op, n)
+    return ops
+
+
+def test_series_matches_per_size_elimination():
+    for seed in (20261018, 20261019):
+        for op in random_band_ops(seed):
+            expect = [per_size_dims(op, n) for n in range(41)]
+            assert truncation_series(op, 40) == expect, (seed, op)
+            for n in range(41):
+                assert truncation_dims(op, n) == expect[n], (seed, op, n)
 
 
 # the ring adapter and the demo ----------------------------------------------------
@@ -246,3 +256,20 @@ def test_demo_truncation_bounds():
     assert run_shift_demo(truncation=2)["ok"]
     with pytest.raises(ValueError):
         run_shift_demo(truncation=1)
+
+
+def test_rigged_band_product_fails_the_demo(monkeypatch):
+    assert run_command(["shift-demo", "--truncation", "8"])[0] == EXIT_PASS
+    mul = BandOperator.__mul__
+
+    def rigged(x, y):
+        return ONE if (x, y) == (S, T) else mul(x, y)
+
+    monkeypatch.setattr(BandOperator, "__mul__", rigged)
+    demo = run_shift_demo(truncation=8)
+    assert demo["ok"] is False
+    assert demo["identities"]["st!=1"] is False
+    assert demo["identities"]["st=1-p0"] is False
+    code, doc = run_command(["shift-demo", "--truncation", "8"])
+    assert code == EXIT_FAIL and doc["status"] == "fail"
+    assert doc["payload"]["ok"] is False

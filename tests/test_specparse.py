@@ -69,6 +69,12 @@ BAD_INPUTS = [
     ("Q8", 0, "'Z', 'M', 'T' or '('"),
     ("Z2 x", 4, "'Z', 'M', 'T' or '('"),
     ("Z2x xZ3", 4, None),  # offset of the offending char, after the space
+    # str.isdigit holds for each of these, and int() reads the second and
+    # third as 3 and 12
+    ("Z\u00b2", 1, "an ASCII digit"),        # superscript two
+    ("Z\u0663", 1, "an ASCII digit"),        # Arabic-Indic three
+    ("Z\uff11\uff12", 1, "an ASCII digit"),  # fullwidth one two
+    ("Z1\uff12", 2, "an ASCII digit"),
 ]
 
 
