@@ -64,22 +64,21 @@ def idempotents(ring: FiniteRing) -> tuple[Idempotent, ...]:
 class CornerRing(FiniteRing):
     """The corner eRe as a ring with identity e, on ambient codes.
 
-    The carrier is the sorted image of x -> exe, which always contains the
-    ambient zero. Arithmetic delegates to the ambient ring, so corner codes
-    are ambient codes and no re-encoding is ever needed, and the kernels
-    read the ambient ring's mul table. A corner holds no tables of its own
-    and never fills any, as its carrier is not dense: its ops are the
-    ambient ring's.
+    The carrier is the sorted image of x -> exe, the ambient ring's
+    corner_carrier, which always contains the ambient zero. Arithmetic
+    delegates to the ambient ring, so corner codes are ambient codes and no
+    re-encoding is ever needed, and the kernels read the ambient ring's mul
+    table. A corner holds no tables of its own and never fills any, as its
+    carrier is not dense: its ops are the ambient ring's.
     """
 
     def __init__(self, ambient: FiniteRing, idem: Idempotent) -> None:
-        e = idem.e
-        carrier = tuple(sorted(set(ambient.sandwiches(e, ambient.elements(), e))))
+        carrier = ambient.corner_carrier(idem.e)
         self.ambient = ambient
         self.idem = idem
-        self._carrier = carrier
+        self._carrier = tuple(sorted(carrier))
         self._carrier_set = frozenset(carrier)
-        super().__init__(size=len(carrier), one=e)
+        super().__init__(size=len(carrier), one=idem.e)
 
     def elements(self) -> Sequence[int]:
         return self._carrier

@@ -111,10 +111,15 @@ def unit_regular_witness(ring: FiniteRing, a: int) -> Optional[tuple[int, int]]:
 def unit_regular_witnesses(ring: FiniteRing) -> dict[int, Optional[int]]:
     """Every element a mapped to its first unit u, in ascending code order,
     with a = a*u*a, or None: the ring's middle_terms over its units(),
-    memoised. units() runs first, so a carrier that fills its tables has
-    filled them before the kernel looks for rows. Treat the returned dict
-    as read-only."""
-    return ring.cached("unit_regular_witness", lambda: ring.middle_terms(ring.units()))
+    memoised, or the ambient ring's map for a corner with its carrier and
+    units (at e = 1), which middle_terms would rebuild from the same rows or
+    mul. units() runs first, so a carrier that fills its tables has filled
+    them before the kernel looks for rows. Treat the dict as read-only."""
+    whole = getattr(ring, "ambient", None)
+    return ring.cached("unit_regular_witness", lambda: unit_regular_witnesses(whole)
+                       if whole and ring.size == whole.size
+                       and ring.units().keys() == whole.units().keys()
+                       else ring.middle_terms(ring.units()))
 
 
 def one_sided_unit_regular_witness(ring: FiniteRing, a: int,

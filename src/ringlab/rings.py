@@ -27,7 +27,7 @@ from array import array
 from functools import partial
 from itertools import product, repeat
 from operator import eq, itemgetter
-from typing import Any, Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Optional, Sequence
 
 DEFAULT_SIZE_CAP = 2 ** 20
 DEFAULT_AXIOM_CAP = 2 ** 8
@@ -181,8 +181,8 @@ class FiniteRing:
 
     The exhaustive searches read products through the kernels, one per
     product shape: find_left, find_right and find_sandwich return the first
-    candidate, in the order given, whose product is a target, sandwiches
-    yields every product lazily, and middle_terms runs the search
+    candidate, in the order given, whose product is a target, corner_carrier
+    collects the distinct (e*x)*e, and middle_terms runs the search
     a = (a*x)*a for every element at once. Each reads the rows of the mul
     table that _kernel_table() names when one is filled (a corner reads its
     ambient ring's) and calls the bound mul otherwise. Which tables exist,
@@ -305,14 +305,14 @@ class FiniteRing:
         """The mul table the kernels read, or None to go through mul."""
         return self._mul_table
 
-    def sandwiches(self, a: int, xs: Iterable[int], b: int) -> Iterator[int]:
-        """(a*x)*b for each x of xs, lazily, as mul3 computes it."""
-        t = self._kernel_table()
+    def corner_carrier(self, e: int) -> set[int]:
+        """The distinct (e*x)*e over the elements x: y*e per distinct y = e*x,
+        from row e of a table (all of it on a full carrier) or from mul."""
+        t, xs, mul = self._kernel_table(), self.elements(), self.mul
         if t is None:
-            mul = self.mul
-            return (mul(mul(a, x), b) for x in xs)
-        row = t[a]
-        return (t[row[x]][b] for x in xs)
+            return {mul(y, e) for y in {mul(e, x) for x in xs}}
+        row = t[e]
+        return {t[y][e] for y in (set(row) if len(xs) == len(row) else {row[x] for x in xs})}
 
     def find_left(self, a: int, xs: Iterable[int], target: int) -> Optional[int]:
         """The first x of xs with a*x == target, or None."""
@@ -788,11 +788,7 @@ class ProductRing(FiniteRing):
 
     def inverse_of(self, x: int) -> Optional[int]:
         x1, x2 = self.decode(x)
-        v1 = self.r1.inverse_of(x1)
-        if v1 is None:
-            return None
-        v2 = self.r2.inverse_of(x2)
-        if v2 is None:
+        if (v1 := self.r1.inverse_of(x1)) is None or (v2 := self.r2.inverse_of(x2)) is None:
             return None
         return self.encode((v1, v2))
 

@@ -1,6 +1,6 @@
 """Parser for the textual ring descriptions used across the CLI and tests.
 
-Grammar, case and whitespace insensitive:
+Grammar, case insensitive, ignoring ASCII whitespace (space, tab, LF, CR, FF, VT):
 
     spec := term ("x" term)*
     term := "Z" nat | "M" nat "(" spec ")" | "T" nat "(" spec ")" | "(" spec ")"
@@ -122,7 +122,7 @@ class _Parser:
         self.pos = 0
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in " \t\n\r\f\v":
             self.pos += 1
 
     def peek(self) -> str:

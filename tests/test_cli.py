@@ -556,6 +556,19 @@ def test_non_ascii_digit_is_a_description_error(capsys):
                             "'\\xb2' at offset 1 (expected an ASCII digit)\n")
 
 
+@pytest.mark.parametrize("spec, message", [
+    # str.isspace would skip each of these, reading Z2, Z2xZ3 and Z2
+    ("Z\u30002", "missing number at offset 1 (expected a digit)"),  # ideographic space
+    ("Z2\x1cxZ3", "trailing input '\\x1cxZ3' at offset 2"),         # file separator
+    ("Z\u00a02", "missing number at offset 1 (expected a digit)"),  # no-break space
+], ids=["ideographic-space", "file-separator", "no-break-space"])
+def test_non_ascii_whitespace_is_a_description_error(capsys, spec, message):
+    assert main(["classify", "--ring", spec]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ringlab: bad ring description: {message}\n"
+
+
 @pytest.mark.parametrize("spec", ["M40(M40(Z40))", "M99(M99(Z99))"])
 def test_astronomical_carrier_is_capped_in_bounded_time(capsys, schema, spec):
     code, doc, elapsed = timed_run(["classify", "--ring", spec])
@@ -608,6 +621,18 @@ def test_classify_above_the_table_threshold_keeps_its_payload():
         assert code == EXIT_PASS
         digest = hashlib.sha256(json.dumps(doc["payload"], sort_keys=True).encode("utf-8"))
         assert digest.hexdigest() == expected, spec
+
+
+def test_verify_above_the_table_threshold_keeps_its_payload():
+    # M2(Z6), 1,296 elements, untabled: every corner carrier comes from raw
+    # muls, n for the products e*x and one per distinct e*x for y*e, and the
+    # corner at e = 1 reads R's map of witness units
+    code, doc = run_command(["verify-theorem", "--ring", "M2(Z6)", "--axiom-cap", "1",
+                             "--json"])
+    assert code == EXIT_PASS
+    digest = hashlib.sha256(json.dumps(doc["payload"], sort_keys=True).encode("utf-8"))
+    assert digest.hexdigest() == (
+        "60ed2553eab32372dddb44a8a56157f4c3190e0956930635d992b6491b77f3a9")
 
 
 @pytest.mark.parametrize("argv, expected", [

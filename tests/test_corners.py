@@ -12,6 +12,7 @@ from ringlab import (
     CornerRing,
     Idempotent,
     TableRing,
+    ZmodRing,
     as_idempotent,
     build_ring,
     check_ring_axioms,
@@ -167,6 +168,74 @@ def test_corners_never_fill_tables(monkeypatch, spec):
         assert classify_payload(corner)[1]
         assert verify_payload(corner, axiom_cap=64)[1]
         assert corner._mul_table is None
+
+
+# corner carriers against a plain scan ------------------------------------
+
+
+def scan_carrier(ring, e):
+    mul = ring.mul
+    return sorted({mul(mul(e, x), e) for x in ring.elements()})
+
+
+def assert_corners_of_corners_match_scan(ring, idems):
+    for idem in idems:
+        corner = corner_ring(ring, idem)
+        assert list(corner.elements()) == scan_carrier(ring, idem.e)
+        for sub in idempotents(corner):
+            assert list(corner_ring(corner, sub).elements()) == scan_carrier(corner, sub.e)
+
+
+@pytest.mark.parametrize("spec", CURATED_FAMILY)
+def test_corner_carriers_match_scan(spec):
+    # idempotents() fills the ring's table, so a corner of the ring reads
+    # the whole of row e, and a corner of a proper corner reads row e at
+    # the proper corner's codes only
+    ring = build_ring(spec)
+    idems = idempotents(ring)
+    assert ring._kernel_table() is not None
+    for idem in idems:
+        assert sorted(ring.corner_carrier(idem.e)) == scan_carrier(ring, idem.e)
+    assert_corners_of_corners_match_scan(ring, idems)
+
+
+@pytest.mark.parametrize("spec", ["M2(Z2)", "T2(Z3)", "M2(Z3)", "M2(Z2)xZ2"])
+def test_untabled_corner_carriers_match_scan(spec):
+    # a fresh ring has no table until a sweep: the kernel calls mul once per
+    # x for y = e*x, then once per distinct y for y*e, in that order of
+    # factors, which the non-commutative rings here tell apart
+    idems = idempotents(build_ring(spec))
+    ring = build_ring(spec)
+    mul, calls = ring.mul, []
+    ring.mul = lambda a, b: calls.append((a, b)) or mul(a, b)
+    for idem in idems:
+        calls.clear()
+        carrier = ring.corner_carrier(idem.e)
+        row = {mul(idem.e, x) for x in ring.elements()}
+        assert len(calls) == ring.size + len(row)
+        assert ring._kernel_table() is None
+        assert sorted(carrier) == scan_carrier(ring, idem.e)
+
+
+def test_untabled_corner_carriers_match_scan_on_z1025():
+    # above the table threshold, and the corners of its corners of 25 and
+    # 41 elements, whose own corners call mul too
+    ring = ZmodRing(1025)
+    assert_corners_of_corners_match_scan(ring, [as_idempotent(ring, e) for e in (451, 575)])
+    assert ring._kernel_table() is None
+    assert [corner_ring(ring, as_idempotent(ring, e)).size for e in (451, 575)] == [25, 41]
+
+
+def test_corner_of_a_corner_reads_row_e_at_its_own_codes():
+    # 0*1 = 5 and 5*0 = 5 break the ring laws outside C = 4*Z6*4 = {0, 2, 4}:
+    # (0*x)*0 over all of Z6 reaches 5 at x = 1, over C it is 0 alone, so
+    # the corner of C at 0 must not read the whole of row 0
+    broken = TableRing.from_ring(ZmodRing(6), override_mul={(0, 1): 5, (5, 0): 5})
+    corner = corner_ring(broken, as_idempotent(broken, 4))
+    assert corner.elements() == (0, 2, 4)
+    zero = corner_ring(corner, as_idempotent(corner, 0))
+    assert list(zero.elements()) == scan_carrier(corner, 0) == [0]
+    assert sorted(broken.corner_carrier(0)) == scan_carrier(broken, 0) == [0, 5]
 
 
 def test_corner_is_cached(rings):

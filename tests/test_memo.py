@@ -37,6 +37,7 @@ from ringlab import (
     verify_payload,
     zero_divisor_status,
 )
+from ringlab.regularity import unit_regular_witnesses
 
 
 def scan_units(ring):
@@ -193,6 +194,39 @@ def test_unit_regular_set_fills_the_witness_of_every_element(spec):
     for r in (ring, corner):
         unit_regular_set(r)
         assert r._memo["unit_regular_witness"].keys() == set(r.elements())
+
+
+def scan_witness_units(ring):
+    return {a: pair and pair[0] for a, pair in scan_unit_regular(ring, ring.units()).items()}
+
+
+def test_whole_ring_corner_takes_the_ring_map():
+    # the corner at e = 1 has R's carrier and units: it reads R's map, and
+    # that map is what its own search would find
+    ring = build_ring("M2(Z4)")
+    whole = corner_ring(ring, as_idempotent(ring, ring.one))
+    assert whole.units() == ring.units()
+    assert unit_regular_witnesses(whole) is unit_regular_witnesses(ring)
+    assert unit_regular_witnesses(whole) == scan_witness_units(whole)
+
+
+@pytest.mark.parametrize("n, overrides, carrier, units", [
+    # 5 + 0 = 3: the corner at e = 1 (f = 0) reads 5's inverse off the
+    # ambient unit 5 + f = 3 and finds none, so it has R's carrier but
+    # only the unit 1
+    (6, {"override_add": {(5, 0): 3}}, (0, 1, 2, 3, 4, 5), [1]),
+    # 1*2 = 0: the corner at e = 1 has R's units 1 and 3, but (1*2)*1 = 0,
+    # so its carrier misses 2
+    (4, {"override_mul": {(1, 2): 0}}, (0, 1, 3), [1, 3]),
+], ids=["other-units", "other-carrier"])
+def test_corner_at_one_unlike_its_ring_runs_its_own_search(n, overrides, carrier, units):
+    broken = TableRing.from_ring(ZmodRing(n), **overrides)
+    whole = corner_ring(broken, as_idempotent(broken, 1))
+    assert whole.elements() == carrier and list(whole.units()) == units
+    assert (carrier, units) != (tuple(broken.elements()), list(broken.units()))
+    found = unit_regular_witnesses(whole)
+    assert found == scan_witness_units(whole)
+    assert found != unit_regular_witnesses(broken)
 
 
 def test_sets_read_from_a_filled_memo_match_scans():

@@ -29,6 +29,8 @@ def test_frozen_parses():
     assert parse_ring_spec("M2(Z2)") == MatrixSpec(2, ZmodSpec(2))
     assert parse_ring_spec("t3(z2)") == TriangularSpec(3, ZmodSpec(2))
     assert parse_ring_spec(" z2 X z4 ") == ProductSpec(ZmodSpec(2), ZmodSpec(4))
+    assert parse_ring_spec("\tM2(\nZ2\r)\fx\vZ3 ") == ProductSpec(
+        MatrixSpec(2, ZmodSpec(2)), ZmodSpec(3))
     assert parse_ring_spec("M2(T2(Z2)xZ3)") == MatrixSpec(
         2, ProductSpec(TriangularSpec(2, ZmodSpec(2)), ZmodSpec(3)))
     assert parse_ring_spec("(Z5)") == ZmodSpec(5)
@@ -75,6 +77,12 @@ BAD_INPUTS = [
     ("Z\u0663", 1, "an ASCII digit"),        # Arabic-Indic three
     ("Z\uff11\uff12", 1, "an ASCII digit"),  # fullwidth one two
     ("Z1\uff12", 2, "an ASCII digit"),
+    # str.isspace holds for each of these too, but only ASCII whitespace
+    # is skipped: a Unicode space or a separator control is refused where
+    # it stands
+    ("Z\u30002", 1, "a digit"),   # ideographic space
+    ("Z\u00a02", 1, "a digit"),   # no-break space
+    ("Z2\x1cxZ3", 2, None),       # file separator
 ]
 
 
