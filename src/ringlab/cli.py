@@ -10,22 +10,22 @@ RINGLAB_SIZE_CAP bound carrier construction, --axiom-cap and
 RINGLAB_AXIOM_CAP bound the ring-axiom check inside verify-theorem and
 family.
 
-run_command keeps the rings it builds for the life of the process, in a
-least-recently-used cache keyed by the parsed description and bounded by
-RING_CACHE_BUDGET table entries (resolve_ring). The caps are checked on
-every request before the lookup. specparse.build_ring stays uncached and
-returns a fresh ring.
+run_command resolves a --ring command's ring once and keeps the rings it
+builds for the life of the process, in a least-recently-used cache keyed by
+the parsed description and bounded by RING_CACHE_BUDGET table entries
+(resolve_ring). The caps are checked on every request before the lookup.
+specparse.build_ring stays uncached and returns a fresh ring.
 
-Each command's options are declared once, in COMMANDS. build_parser turns
-the table into an argparse parser, and _parse reads the same table to parse
-a plain argv directly: the command first, then only exact flags as
-`--flag value` or `--flag=value`, no value starting with "-", int options
-through int(), every required flag present. That returns the Namespace
-argparse would, for a tenth of its cost. Every other argv (help,
-abbreviated or unknown flags, missing values, bad ints, negative numbers)
-goes to one cached argparse parser, which stays the only source of help
-text and usage errors. Flags are spelled in full: no parser accepts an
-abbreviation, so "--json" in argv is exactly the JSON switch.
+Each command's options are declared once, in COMMANDS, each with the one
+converter of its value; a number, in a flag or a cap's variable, is ASCII
+digits only. build_parser turns the table into an argparse parser, and
+_parse reads it to parse a plain argv directly: the command, then only
+exact flags as `--flag value` or `--flag=value`, no value starting with "-",
+each value through its converter, every required flag present. That returns
+the Namespace argparse would, for a tenth of its cost. Any other argv goes to
+one cached argparse parser, the only source of help text and usage errors.
+Flags are spelled in full: no parser accepts an abbreviation, so "--json"
+in argv is exactly the JSON switch.
 
 A reader that closes stdout early ends nothing badly: main stops writing
 and returns the command's own exit code, with no traceback.
@@ -38,7 +38,7 @@ import os
 import sys
 import time
 from collections import OrderedDict
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .report import (
     classify_payload,
@@ -73,12 +73,24 @@ ENV_SIZE_CAP = "RINGLAB_SIZE_CAP"
 ENV_AXIOM_CAP = "RINGLAB_AXIOM_CAP"
 
 
+def number(text: str) -> int:
+    """An option's or a cap variable's number: ASCII digits, then int()."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
+def idempotent(text: str) -> Optional[int]:
+    """--idempotent's value: None for "all", else an element code."""
+    return None if text == "all" else number(text)
+
+
 class _Option(NamedTuple):
     """One command option, as build_parser and _parse both read it."""
 
     flag: str
     dest: str
-    type: type = str  # str or int takes a value; bool is a switch
+    type: Callable = str  # the value's converter; bool marks a switch
     required: bool = False
     default: object = None
     metavar: Optional[str] = None
@@ -88,10 +100,10 @@ class _Option(NamedTuple):
 _COMMON = (
     _Option("--json", "json", bool, default=False,
             help="emit the report document as JSON"),
-    _Option("--size-cap", "size_cap", int, metavar="N",
+    _Option("--size-cap", "size_cap", number, metavar="N",
             help=f"carrier size limit (default {DEFAULT_SIZE_CAP}, "
                  f"env {ENV_SIZE_CAP})"),
-    _Option("--axiom-cap", "axiom_cap", int, metavar="N",
+    _Option("--axiom-cap", "axiom_cap", number, metavar="N",
             help=f"axiom sweep size limit (default {DEFAULT_AXIOM_CAP}, "
                  f"env {ENV_AXIOM_CAP})"),
 )
@@ -106,7 +118,7 @@ def _ring(help: Optional[str] = None) -> _Option:
 
 
 def _code(flag: str, help: str) -> _Option:
-    return _Option(flag, flag[2:], int, required=True, help=help)
+    return _Option(flag, flag[2:], number, required=True, help=help)
 
 
 # Every command with its help line and its options by flag, in help order.
@@ -115,7 +127,7 @@ COMMANDS: dict[str, tuple[str, dict[str, _Option]]] = {
         _ring("ring description, e.g. Z6, M2(Z2), T2(Z3)xZ2"))),
     "verify-theorem": ("check the corner unit-regularity conditions", _options(
         _ring(),
-        _Option("--idempotent", "idempotent", default="all", metavar="all|CODE",
+        _Option("--idempotent", "idempotent", idempotent, metavar="all|CODE",
                 help="sweep every idempotent or just the given code"))),
     "witness": ("recover a corner witness from ambient data", _options(
         _ring(),
@@ -123,9 +135,9 @@ COMMANDS: dict[str, tuple[str, dict[str, _Option]]] = {
         _code("--a", "corner element code"),
         _code("--b", "complement corner element code"),
         _code("--u", "middle term code"),
-        _Option("--v", "v", int, help="partner for u (default: its inverse)"))),
+        _Option("--v", "v", number, help="partner for u (default: its inverse)"))),
     "shift-demo": ("the infinite-carrier separation of the corner conditions",
-                   _options(_Option("--truncation", "truncation", int, default=8,
+                   _options(_Option("--truncation", "truncation", number, default=8,
                                     metavar="N",
                                     help="largest truncation size for rank "
                                          "evidence"))),
@@ -156,9 +168,9 @@ def _parse(argv: list[str]) -> Optional[argparse.Namespace]:
     """The Namespace build_parser() would return for a plain argv, else None.
 
     Plain is a command, then exact flags as `--flag value` or
-    `--flag=value`, no value starting with "-", every int value int()-able
-    and every required flag present. Anything else (help, abbreviations,
-    unknown or incomplete flags, negative numbers) is left to argparse.
+    `--flag=value`, no value starting with "-", every value taken by its
+    converter and every required flag present. Anything else (help,
+    abbreviations, unknown flags, missing or refused values) is argparse's.
     """
     entry = COMMANDS.get(argv[0]) if argv else None
     if entry is None:
@@ -185,12 +197,10 @@ def _parse(argv: list[str]) -> Optional[argparse.Namespace]:
             i += 1
         if value.startswith("-"):
             return None
-        if option.type is int:
-            try:
-                value = int(value)
-            except ValueError:
-                return None
-        values[option.dest] = value
+        try:
+            values[option.dest] = option.type(value)
+        except ValueError:
+            return None
     for o in options.values():
         if o.required and values[o.dest] is None:
             return None
@@ -204,9 +214,9 @@ def _resolve_cap(flag_value: Optional[int], env_name: str, default: int) -> int:
         if raw is None:
             return default
         try:
-            value = int(raw)
+            value = number(raw)
         except ValueError:
-            raise ValueError(f"{env_name} must be an integer, got {raw!r}") from None
+            raise ValueError(f"{env_name} must be ASCII digits, got {raw!r}") from None
     if value < 1:
         raise ValueError(f"cap must be positive, got {value}")
     return value
@@ -285,30 +295,17 @@ def run_command(argv: list[str]) -> tuple[int, Optional[dict]]:
     try:
         size_cap = _resolve_cap(args.size_cap, ENV_SIZE_CAP, DEFAULT_SIZE_CAP)
         axiom_cap = _resolve_cap(args.axiom_cap, ENV_AXIOM_CAP, DEFAULT_AXIOM_CAP)
+        ring = resolve_ring(args.ring, size_cap) if "ring" in args else None
+        ring_label = (ring.spec_string if ring is not None
+                      else "band" if command == "shift-demo" else None)
         if command == "classify":
-            ring = resolve_ring(args.ring, size_cap)
-            ring_label = ring.spec_string
             payload, ok = classify_payload(ring)
         elif command == "verify-theorem":
-            ring = resolve_ring(args.ring, size_cap)
-            ring_label = ring.spec_string
-            if args.idempotent == "all":
-                idem_code = None
-            else:
-                try:
-                    idem_code = int(args.idempotent)
-                except ValueError:
-                    raise ValueError(
-                        f"--idempotent takes 'all' or an element code, "
-                        f"got {args.idempotent!r}") from None
-            payload, ok = verify_payload(ring, idem_code, axiom_cap=axiom_cap)
+            payload, ok = verify_payload(ring, args.idempotent, axiom_cap=axiom_cap)
         elif command == "witness":
-            ring = resolve_ring(args.ring, size_cap)
-            ring_label = ring.spec_string
             payload, ok = witness_payload(ring, args.e, args.a, args.b,
                                           args.u, args.v)
         elif command == "shift-demo":
-            ring_label = "band"
             payload, ok = shift_payload(args.truncation)
         else:
             payload, ok = family_payload(size_cap, axiom_cap, resolve_ring)

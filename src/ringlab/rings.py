@@ -475,6 +475,8 @@ class _SquareRing(FiniteRing):
                  size_cap: int) -> None:
         if k < 1:
             raise ValueError(f"matrix dimension must be >= 1, got {k}")
+        if not isinstance(base.elements(), range):
+            raise ValueError("the base of a matrix ring must be a dense carrier")
         cardinality = base.size ** len(slots)
         require_cap(cardinality, size_cap)
         self.k = k

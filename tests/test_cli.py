@@ -280,6 +280,29 @@ def _joined(command, groups):
     return command + [token for group in groups for token in group]
 
 
+# int() reads fullwidth and Arabic-Indic digits, padding and underscores;
+# every option converter refuses them, as the ring grammar refuses its own
+# non-ASCII digits
+_NON_ASCII_DIGITS = [str.maketrans("0123456789", "".join(chr(zero + d) for d in range(10)))
+                     for zero in (0xFF10, 0x0660)]  # fullwidth, Arabic-Indic
+
+
+def _respelled(argv):
+    """argv with each number respelled fullwidth, Arabic-Indic, padded or
+    underscored, as `--flag value` and as `--flag=value`."""
+    command, groups = argv[:1], _pairs(argv)
+    out = []
+    for i, group in enumerate(groups):
+        if len(group) != 2 or not (group[1].isascii() and group[1].isdigit()):
+            continue
+        flag, value = group
+        spellings = [value.translate(t) for t in _NON_ASCII_DIGITS]
+        for spelling in spellings + [" " + value, "1_" + value]:
+            for respelled in ([flag, spelling], [f"{flag}={spelling}"]):
+                out.append(_joined(command, groups[:i] + [respelled] + groups[i + 1:]))
+    return out
+
+
 def _mutations(argv, rng):
     """Seeded respellings and malformed variants of one argv."""
     command, groups = argv[:1], _pairs(argv)
@@ -307,7 +330,7 @@ def _mutations(argv, rng):
         out.append(argv + [flag, rng.choice(["-1", "-" + value, "--json"])])
         out.append(argv + [f"{flag}=-{value}"])
         out.append(argv + [flag])
-    return out
+    return out + _respelled(argv)
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +377,58 @@ def test_parse_agrees_with_argparse_or_declines(parse_corpus, oracle_parser):
     assert _parse_mismatches(oracle_parser, parse_corpus) == []
 
 
+def test_respelled_numbers_are_refused_by_both_parsers(oracle_parser):
+    argvs = [list(e["argv"]) for e in json.loads(REFERENCE.read_text())["requests"].values()]
+    respelled = [mutated for argv in argvs for mutated in _respelled(argv)]
+    assert len(respelled) > 8000
+    for argv in respelled:
+        assert cli_mod._parse(argv) is None, argv
+        assert _argparse_vars(oracle_parser, argv) is None, argv
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["classify", "--ring", "Z6", "--size-cap", "\u0661\u0660"], "--size-cap", "\u0661\u0660"),
+    (["classify", "--ring", "Z6", "--size-cap", "1_0"], "--size-cap", "1_0"),
+    (["classify", "--ring", "Z6", "--size-cap=\uff11\uff10"], "--size-cap", "\uff11\uff10"),
+    (["witness", "--ring", "Z6", "--e", "\uff13", "--a", "3", "--b", "4", "--u", "1"],
+     "--e", "\uff13"),
+    (["witness", "--ring", "Z6", "--e", " 3", "--a", "3", "--b", "4", "--u", "1"],
+     "--e", " 3"),
+    (["witness", "--ring", "Z6", "--e", "3", "--a", "-1", "--b", "4", "--u", "1"],
+     "--a", "-1"),
+    (["verify-theorem", "--ring", "Z6", "--idempotent", "\uff13"], "--idempotent", "\uff13"),
+    (["verify-theorem", "--ring", "Z6", "--idempotent=banana"], "--idempotent", "banana"),
+    (["shift-demo", "--truncation", "\uff18"], "--truncation", "\uff18"),
+], ids=["arabic-indic-cap", "underscored-cap", "fullwidth-cap", "fullwidth-code",
+        "padded-code", "negative-code", "fullwidth-idempotent", "word-idempotent",
+        "fullwidth-truncation"])
+def test_option_numbers_are_ascii_digits(capsys, argv, flag, value):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: invalid" in captured.err and repr(value) in captured.err
+
+
+@pytest.mark.parametrize("raw", ["\uff11\uff10", " 4 ", "1_0"])
+@pytest.mark.parametrize("name", ["RINGLAB_SIZE_CAP", "RINGLAB_AXIOM_CAP"])
+def test_cap_variables_are_ascii_digits(monkeypatch, capsys, name, raw):
+    monkeypatch.setenv(name, raw)
+    assert main(["classify", "--ring", "Z4"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ringlab: {name} must be ASCII digits, got {raw!r}\n"
+
+
+def test_idempotent_all_is_the_default():
+    argv = ["verify-theorem", "--ring", "T2(Z2)", "--json"]
+    payloads = set()
+    for extra in ([], ["--idempotent", "all"], ["--idempotent=all"]):
+        code, doc = run_command(argv + extra)
+        assert code == EXIT_PASS and len(doc["payload"]["verdicts"]) > 1
+        payloads.add(payload_bytes(doc))
+    assert len(payloads) == 1
+
+
 def test_parse_takes_every_accepted_reference_argv(oracle_parser):
     requests = json.loads(REFERENCE.read_text())["requests"].values()
     taken = 0
@@ -386,6 +461,23 @@ def test_size_cap_flag(schema):
     code, doc = run_ok(["classify", "--ring", "Z40", "--size-cap", "10"], schema)
     assert code == EXIT_CAP
     assert doc["payload"]["cap"] == 10
+
+
+@pytest.mark.parametrize("argv, code, label", [
+    (["classify", "--ring", "Z40", "--size-cap", "10"], EXIT_CAP, None),
+    (["verify-theorem", "--ring", "Z40", "--size-cap", "10"], EXIT_CAP, None),
+    (["witness", "--ring", "Z40", "--size-cap", "10", "--e", "0", "--a", "0",
+      "--b", "0", "--u", "1"], EXIT_CAP, None),
+    (["shift-demo", "--truncation", "4097"], EXIT_CAP, "band"),
+    (["witness", "--ring", "Z12", "--e", "9", "--a", "9", "--b", "0", "--u", "9"],
+     EXIT_FAIL, "Z12"),
+], ids=["capped-classify", "capped-verify", "capped-witness", "capped-shift-demo",
+        "witness-precondition"])
+def test_document_ring_label(schema, argv, code, label):
+    # the label is the ring's name once the ring is resolved, "band" for
+    # the shift demo, and null where the ring was refused
+    exit_code, doc = run_ok(argv, schema)
+    assert exit_code == code and doc["ring"] == label
 
 
 def test_size_cap_env_and_flag_priority(monkeypatch, schema):

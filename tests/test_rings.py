@@ -14,6 +14,8 @@ from ringlab import (
     TableRing,
     TriangularRing,
     ZmodRing,
+    as_idempotent,
+    build_m2_scaffold,
     build_ring,
     check_ring_axioms,
     classify,
@@ -526,6 +528,22 @@ def test_products_need_dense_factors():
     corner = corner_ring(z4, idempotents(z4)[0])
     with pytest.raises(ValueError, match="dense"):
         ProductRing(corner, z4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda base: MatrixRing(2, base),
+    lambda base: TriangularRing(1, base),
+    lambda base: TriangularRing(2, base),
+    lambda base: build_m2_scaffold(base, 3, 3),
+], ids=["M2", "T1", "T2", "m2-scaffold"])
+def test_matrix_rings_need_a_dense_base(build):
+    # the corner 3*Z6*3 has carrier {0, 3}; the slot codec reads each base
+    # code as a digit 0..size-1, which would give M2 16 codes and one = 27
+    z6 = build_ring("Z6")
+    corner = corner_ring(z6, as_idempotent(z6, 3))
+    assert list(corner.elements()) == [0, 3]
+    with pytest.raises(ValueError, match="dense"):
+        build(corner)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 256, 257, 1000])
