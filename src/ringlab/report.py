@@ -121,12 +121,16 @@ def verify_payload(ring: FiniteRing, idempotent_code: Optional[int] = None,
                    axiom_cap: int = DEFAULT_AXIOM_CAP) -> tuple[dict, bool]:
     """Axioms first, then the full condition sweep per idempotent corner.
 
-    A failed axiom aborts the theorem sweep: the conditions do not mean
-    anything on a non-ring, so the payload carries the counterexample
-    instead. An inconsistency between supposedly equivalent conditions also
-    aborts, with the reproduction bundle in the payload.
+    An explicit idempotent code is checked first, so a bad one raises
+    ValueError before any axiom work. A failed axiom aborts the theorem
+    sweep: the conditions do not mean anything on a non-ring, so the payload
+    carries the counterexample instead. An inconsistency between supposedly
+    equivalent conditions also aborts, with the reproduction bundle in the
+    payload.
     """
     payload: dict = {"ring": ring.spec_string, "size": ring.size}
+    if idempotent_code is not None:
+        idems = (as_idempotent(ring, idempotent_code),)
     if ring.size <= axiom_cap:
         axioms = check_ring_axioms(ring, cap=axiom_cap)
         payload["axioms"] = axioms.to_dict()
@@ -142,8 +146,6 @@ def verify_payload(ring: FiniteRing, idempotent_code: Optional[int] = None,
 
     if idempotent_code is None:
         idems = idempotents(ring)
-    else:
-        idems = (as_idempotent(ring, idempotent_code),)
     payload["idempotents"] = [idem.e for idem in idems]
 
     blocks = []

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from .rings import SizeCapError, _Value, _set
-from .theorem import _mat2_mul, build_m2_scaffold
+from .theorem import Mat2, build_m2_scaffold
 
 # Largest truncation run_shift_demo accepts. The rank evidence is one
 # incremental GF(2) elimination, linear in the truncation, so the cap
@@ -311,9 +311,10 @@ def run_shift_demo(truncation: int = 8) -> dict:
         "uv=1": scaffold.identities["uv=1"],
         "vu=1": scaffold.identities["vu=1"],
     })
-    e = (ring.one, ring.zero, ring.zero, ring.zero)
-    a = (s, ring.zero, ring.zero, ring.zero)
-    corner_form_ok = _mat2_mul(ring, _mat2_mul(ring, e, a), e) == a
+    m2, zero = Mat2(ring), ring.zero
+    e = m2.encode(((one, zero), (zero, zero)))
+    a = m2.encode(((s, zero), (zero, zero)))
+    corner_form_ok = m2.mul3(e, a, e) == a
 
     series = truncation_series(s, truncation)[2:]
     truncations = [{"n": n, "kernel_dim": ker, "cokernel_dim": coker}

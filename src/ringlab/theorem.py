@@ -601,14 +601,36 @@ def _inheritance_report(ring: FiniteRing) -> InheritanceReport:
                              ambient_unit_regular=ambient_ur, corners=corners)
 
 
-def _mat2_mul(base, x, y):
-    add, mul = base.add, base.mul
-    return (
-        add(mul(x[0], y[0]), mul(x[1], y[2])),
-        add(mul(x[0], y[1]), mul(x[1], y[3])),
-        add(mul(x[2], y[0]), mul(x[3], y[2])),
-        add(mul(x[2], y[1]), mul(x[3], y[3])),
-    )
+class Mat2:
+    """2x2 matrices over any base with zero, one, add, mul and neg, as
+    row-major 4-tuples of base elements.
+
+    encode, one, zero, add, sub, mul and mul3 read as they do on
+    MatrixRing(2, base), so the scaffold runs on either, and the recovery
+    replay (_replay_checks) runs on 2x2 matrices over an infinite base such
+    as the shift demo's band ring, where no finite search reaches.
+    """
+
+    def __init__(self, base) -> None:
+        self.base, zero, one = base, base.zero, base.one
+        self.zero, self.one = (zero, zero, zero, zero), (one, zero, zero, one)
+
+    def encode(self, rows) -> tuple:
+        return (*rows[0], *rows[1])
+
+    def add(self, x: tuple, y: tuple) -> tuple:
+        return tuple(map(self.base.add, x, y))
+
+    def sub(self, x: tuple, y: tuple) -> tuple:
+        return self.add(x, tuple(map(self.base.neg, y)))
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        add, mul = self.base.add, self.base.mul
+        return (add(mul(x[0], y[0]), mul(x[1], y[2])), add(mul(x[0], y[1]), mul(x[1], y[3])),
+                add(mul(x[2], y[0]), mul(x[3], y[2])), add(mul(x[2], y[1]), mul(x[3], y[3])))
+
+    def mul3(self, x: tuple, y: tuple, z: tuple) -> tuple:
+        return self.mul(self.mul(x, y), z)
 
 
 class M2ScaffoldReport(_Record):
@@ -660,47 +682,39 @@ def build_m2_scaffold(base, s, t, size_cap: int = DEFAULT_SIZE_CAP) -> M2Scaffol
     """Run the 2x2 scaffold over any ring exposing zero/one, add/mul/neg.
 
     Raises ValueError unless s*t*s = s, which is the scaffold's only input
-    hypothesis, or when s or t is not an element code of a finite base. For
-    a finite base the corner question is settled by search inside an
-    actual 2x2 matrix ring and cross-checked against the base.
+    hypothesis, or when s or t is not an element code of a finite base. The
+    matrices live in MatrixRing(2, base) for a finite base and in Mat2(base)
+    otherwise, and the identities are read off that ring. For a finite base
+    the corner question is then settled by search inside it and
+    cross-checked against the base.
     """
-    if isinstance(base, FiniteRing):
+    finite = isinstance(base, FiniteRing)
+    if finite:
         base.check_element(s)
         base.check_element(t)
-    zero, one = base.zero, base.one
     if base.mul(base.mul(s, t), s) != s:
         raise ValueError("scaffold needs s*t*s = s in the base ring")
-    a = (s, zero, zero, zero)
-    u = (t, one, one, zero)
-    v = (zero, one, one, base.neg(t))
-    ident = (one, zero, zero, one)
-    aua = _mat2_mul(base, _mat2_mul(base, a, u), a)
+    m2 = MatrixRing(2, base, size_cap=size_cap) if finite else Mat2(base)
+    zero, one = base.zero, base.one
+    a = m2.encode(((s, zero), (zero, zero)))
+    u = m2.encode(((t, one), (one, zero)))
+    v = m2.encode(((zero, one), (one, base.neg(t))))
     identities = {
         "sts=s": True,
-        "aua=a": aua == a,
-        "uv=1": _mat2_mul(base, u, v) == ident,
-        "vu=1": _mat2_mul(base, v, u) == ident,
+        "aua=a": m2.mul3(a, u, a) == a,
+        "uv=1": m2.mul(u, v) == m2.one,
+        "vu=1": m2.mul(v, u) == m2.one,
     }
-    ambient_witnessed = all(identities.values())
-
-    if isinstance(base, FiniteRing):
-        m2 = MatrixRing(2, base, size_cap=size_cap)
-        e_code = m2.encode(((one, zero), (zero, zero)))
-        a_code = m2.encode(((s, zero), (zero, zero)))
-        idem = as_idempotent(m2, e_code)
-        corner = corner_ring(m2, idem)
-        corner_ur = unit_regular_witness(corner, a_code) is not None
+    corner_ur = base_ur = None
+    if finite:
+        idem = as_idempotent(m2, m2.encode(((one, zero), (zero, zero))))
+        corner_ur = unit_regular_witness(corner_ring(m2, idem), a) is not None
         base_ur = unit_regular_witness(base, s) is not None
-        return M2ScaffoldReport(
-            base=base.spec_string, s=s, t=t, identities=identities,
-            ambient_witnessed=ambient_witnessed, decidable=True,
-            corner_unit_regular=corner_ur, base_unit_regular=base_ur,
-            corner_matches_base=corner_ur == base_ur,
-            note="finite base: corner status decided by exhaustive search")
     return M2ScaffoldReport(
-        base=getattr(base, "spec_string", "ring"), s=s, t=t,
-        identities=identities, ambient_witnessed=ambient_witnessed,
-        decidable=False, corner_unit_regular=None, base_unit_regular=None,
-        corner_matches_base=None,
-        note="base is not a finite carrier; corner status is out of reach "
+        base=getattr(base, "spec_string", "ring"), s=s, t=t, identities=identities,
+        ambient_witnessed=all(identities.values()), decidable=finite,
+        corner_unit_regular=corner_ur, base_unit_regular=base_ur,
+        corner_matches_base=corner_ur == base_ur if finite else None,
+        note="finite base: corner status decided by exhaustive search" if finite
+        else "base is not a finite carrier; corner status is out of reach "
              "of exhaustive search here")

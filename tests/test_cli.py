@@ -780,6 +780,26 @@ def test_cached_ring_reuses_its_axiom_and_inheritance_reports(monkeypatch):
     assert code == EXIT_PASS and calls == [] and payload_bytes(doc) == first
 
 
+def test_bad_idempotent_code_is_refused_before_the_axiom_check(monkeypatch):
+    # a fresh ring, so no axiom report is memoised on it: the refusal must
+    # come before the whole-carrier axiom proof, about a second on T4(Z2)
+    cli_mod.clear_ring_cache()
+    calls = []
+    monkeypatch.setattr(rings_mod, "_row_proofs", lambda *args: calls.append("axioms"))
+    for code in ("1029", "2"):  # out of range; in range but not idempotent
+        argv = ["verify-theorem", "--ring", "T4(Z2)", "--axiom-cap", "1024",
+                "--idempotent", code]
+        assert run_command(argv) == (EXIT_USAGE, None) and calls == [], code
+    # in the library too: a law-breaking ring refuses a bad code with
+    # ValueError, and a good one still gets the axiom-failure payload
+    monkeypatch.undo()
+    broken = TableRing.from_ring(ZmodRing(6), override_add={(1, 1): 3})
+    with pytest.raises(ValueError, match="not idempotent"):
+        report_mod.verify_payload(broken, 2)
+    payload, ok = report_mod.verify_payload(broken, 3)
+    assert not ok and payload["axioms"]["ok"] is False and payload["verdicts"] is None
+
+
 def test_oversized_truncation_is_capped_in_bounded_time(capsys, schema):
     code, doc, elapsed = timed_run(["shift-demo", "--truncation", "100000000"])
     assert code == EXIT_CAP and elapsed < 1.0

@@ -21,6 +21,7 @@ from ringlab import (
     EQUIVALENCE_LABELS,
     Idempotent,
     InconsistencyError,
+    MatrixRing,
     PreconditionError,
     as_idempotent,
     build_m2_scaffold,
@@ -647,3 +648,56 @@ def test_scaffold_infinite_base_stays_undecided():
     d = report.to_dict()
     assert isinstance(d["s"], str)  # band operators serialize as text
     json.dumps(d)
+
+
+@pytest.mark.parametrize("base", ["Z2", "Z3"])
+def test_mat2_agrees_with_the_matrix_ring(rings, base):
+    # MatrixRing(2, base) is the independent oracle: its slot codec and
+    # products share no code with Mat2's tuples
+    ring = rings(base)
+    m2, mat = MatrixRing(2, ring), theorem_mod.Mat2(ring)
+    tuples = {}
+    for c in m2.elements():
+        rows = m2.decode(c)
+        assert m2.encode(rows) == c
+        tuples[c] = mat.encode(rows)
+        assert tuples[c] == tuple(x for row in rows for x in row)
+    assert len(set(tuples.values())) == m2.size
+    assert mat.one == tuples[m2.one] and mat.zero == tuples[m2.zero]
+    for c in m2.elements():
+        x = tuples[c]
+        for d in m2.elements():
+            y = tuples[d]
+            assert mat.mul(x, y) == tuples[m2.mul(c, d)], (c, d)
+            assert mat.add(x, y) == tuples[m2.add(c, d)], (c, d)
+            assert mat.sub(x, y) == tuples[m2.sub(c, d)], (c, d)
+    sample = list(m2.elements())[::7]
+    for c in sample:
+        for d in sample:
+            for g in sample:
+                assert mat.mul3(tuples[c], tuples[d], tuples[g]) == tuples[m2.mul3(c, d, g)]
+
+
+def test_recovery_replays_on_2x2_matrices_over_the_band_ring():
+    # R = M2(B) over the band ring B, e = diag(1,0), a = diag(s,0), b = 0 and
+    # the scaffold's (u, v): condition 4' at b = 0. The nine identities that
+    # the middle identity alone guarantees hold; the four that need b to be
+    # a non zero divisor of fRf fail, and since s is not unit regular in B
+    # no other witness exists for a in eRe
+    band = BandRing()
+    m2 = theorem_mod.Mat2(band)
+    s, t = BandOperator.right_shift(), BandOperator.left_shift()
+    zero, one = band.zero, band.one
+    e = m2.encode(((one, zero), (zero, zero)))
+    f = m2.encode(((zero, zero), (zero, one)))
+    a = m2.encode(((s, zero), (zero, zero)))
+    u = m2.encode(((t, one), (one, zero)))
+    v = m2.encode(((zero, one), (one, t)))  # -t = t over GF(2)
+    u_prime, v_prime, checks = theorem_mod._replay_checks(
+        m2, Idempotent(e, f), a, m2.zero, u, v)
+    assert set(checks) == ALL_CHECK_NAMES
+    assert {k for k, ok in checks.items() if ok} == set(theorem_mod._PEIRCE_KEYS)
+    assert {k for k, ok in checks.items() if not ok} == {
+        "(1-bu)f=0", "e(1-ub)=1-ub", "u'v'=e", "v'u'=e"}
+    # at b = 0, u' = eue = diag(t, 0) and v' = eve = 0
+    assert u_prime == m2.encode(((t, zero), (zero, zero))) and v_prime == m2.zero
