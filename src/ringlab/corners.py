@@ -6,6 +6,12 @@ can be mixed freely into ambient arithmetic. Every x in R splits uniquely as
 exe + exf + fxe + fxf, and the diagonal corners embed as a direct product
 inside R exactly when the off-diagonal parts of their sums vanish, which the
 embedding report checks exhaustively.
+
+Every function here that takes an Idempotent refuses a pair whose f is not
+1 - e, through one check (_check_pair): corner_ring runs it when it builds a
+corner or is handed an f other than the built corner's, complement and
+peirce_decompose on every call. corner_ring keeps each corner on the ring by
+its code e, as the one memo of its idempotent.
 """
 
 from __future__ import annotations
@@ -38,12 +44,17 @@ def as_idempotent(ring: FiniteRing, e: int) -> Idempotent:
     return Idempotent(e=e, f=ring.sub(ring.one, e))
 
 
+def _check_pair(ring: FiniteRing, idem: Idempotent) -> None:
+    """The one check of a pair: e is an idempotent code of ring and f = 1 - e."""
+    if as_idempotent(ring, idem.e) != idem:
+        raise ValueError("complement does not match 1 - e")
+
+
 def complement(ring: FiniteRing, idem: Idempotent) -> Idempotent:
-    """Idempotent(f, e) for idem = Idempotent(e, f); memoised on the ring."""
-    done = ring.cached("complement", dict)
-    if idem not in done:
-        done[idem] = as_idempotent(ring, idem.f)
-    return done[idem]
+    """The pair (f, 1 - f) for a checked pair idem = (e, f): Idempotent(f, e)
+    on a lawful ring."""
+    _check_pair(ring, idem)
+    return as_idempotent(ring, idem.f)
 
 
 def idempotents(ring: FiniteRing) -> tuple[Idempotent, ...]:
@@ -120,13 +131,19 @@ class CornerRing(FiniteRing):
 
 
 def corner_ring(ring: FiniteRing, idem: Idempotent) -> CornerRing:
-    """Corner eRe for a validated idempotent; memoised on the ring."""
+    """Corner eRe of a checked pair (e, f), memoised on the ring by the code e.
+
+    The corner is the one memo of its idempotent: what is derived from e,
+    such as the condition sweeps, lives on the corner's own memo. A pair is
+    checked when its corner is built, and again when its f differs from the
+    built corner's, so a forged f is refused on a warm memo too.
+    """
     corners = ring.cached("corners", dict)
-    if idem not in corners:
-        if as_idempotent(ring, idem.e) != idem:
-            raise ValueError("complement does not match 1 - e")
-        corners[idem] = CornerRing(ring, idem)
-    return corners[idem]
+    ee = corners.get(idem.e)
+    if ee is None or ee.idem.f != idem.f:
+        _check_pair(ring, idem)
+        ee = corners[idem.e] = CornerRing(ring, idem)
+    return ee
 
 
 class PeirceParts(_Value):
@@ -150,6 +167,7 @@ class PeirceParts(_Value):
 
 def peirce_decompose(ring: FiniteRing, idem: Idempotent, x: int) -> PeirceParts:
     ring.check_element(x)
+    _check_pair(ring, idem)
     e, f = idem.e, idem.f
     parts = PeirceParts(
         ee=ring.mul3(e, x, e),

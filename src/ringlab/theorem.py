@@ -24,12 +24,13 @@ memo of witness searches, so a broken search would break them alike;
 tests/test_memo.py catches that by comparing the memo with plain scans on
 the curated family. What the conditions at one idempotent share, its two
 corners and the candidates b of each sweep, is built once per ring and
-idempotent (_Sweeps).
+idempotent (_Sweeps) and kept, with the rows of corner_verdicts, on the
+memo of the corner eRe: the one memo of an idempotent.
 
 The engine comes in two forms that give the same values. verify-theorem and
 family read corner_verdicts, which decides all seven conditions for every a
 of a corner at once from the unit-regular elements of R and of eRe read as
-sets, forms each sum a + b once with add, and keeps the rows on _Sweeps;
+sets, forms each sum a + b once with add, and keeps the rows on eRe;
 require_consistent is its strict check, and decides one element per
 corner again through theorem_verdict. theorem_verdict and check_condition
 are the per-element API: they also return a witness for each condition,
@@ -55,7 +56,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
-from .corners import Idempotent, as_idempotent, complement, corner_ring, idempotents
+from .corners import CornerRing, Idempotent, as_idempotent, complement, corner_ring, idempotents
 from .regularity import (
     one_sided_partner,
     unit_regular_witness,
@@ -108,13 +109,12 @@ class _Sweeps:
     the map of unit-regular witnesses of R and R's units, which give each
     witness's inverse, and the candidates b of the sweeps of conditions 3
     through 5: the units of fRf for 3 and 3', its unit-regular elements for
-    4 and 4', and its non zero divisors for 5; and the rows of
-    corner_verdicts once they are found."""
+    4 and 4', and its non zero divisors for 5. Built once per ring and
+    idempotent, on the memo of the corner ee (_sweeps)."""
 
-    def __init__(self, ring: FiniteRing, idem: Idempotent) -> None:
-        self.idem = idem
-        self.ee = corner_ring(ring, idem)
-        ff = corner_ring(ring, complement(ring, idem))
+    def __init__(self, ring: FiniteRing, ee: CornerRing) -> None:
+        self.ee, self.idem = ee, ee.idem
+        ff = corner_ring(ring, complement(ring, ee.idem))
         self.witnesses = unit_regular_witnesses(ring)
         self.inverse = ring.units()
         units = tuple(ff.units())
@@ -122,7 +122,6 @@ class _Sweeps:
         self._fixed = {"3": units, "3'": units, "4": unit_regular, "4'": unit_regular}
         self._clear: list[int] = []
         self._unread = (b for b in ff.elements() if zero_divisor_status(ff, b).clear)
-        self.rows: Optional[dict[int, tuple[bool, ...]]] = None
 
     def candidates(self, label: str) -> Iterable[int]:
         return self._non_zero_divisors() if label == "5" else self._fixed[label]
@@ -146,13 +145,10 @@ _SWEEPS = {"3": True, "3'": False, "4": True, "4'": False, "5": False}
 
 
 def _sweeps(ring: FiniteRing, idem: Idempotent) -> _Sweeps:
-    """The _Sweeps of idem, built once per ring and idempotent code."""
-    by_code = ring.cached("condition_sweeps", dict)
-    sweeps = by_code.get(idem.e)
-    # corner_ring checked the pair (e, f) when the entry was built
-    if sweeps is None or sweeps.idem.f != idem.f:
-        sweeps = by_code[idem.e] = _Sweeps(ring, idem)
-    return sweeps
+    """The _Sweeps of idem, kept on the memo of its corner eRe, whose
+    corner_ring checks the pair (e, f)."""
+    ee = corner_ring(ring, idem)
+    return ee.cached("sweeps", lambda: _Sweeps(ring, ee))
 
 
 def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
@@ -199,8 +195,8 @@ def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
 def corner_verdicts(ring: FiniteRing,
                     idem: Idempotent) -> dict[int, tuple[bool, ...]]:
     """Every condition on every a of eRe: a -> the seven values in
-    CONDITION_LABELS order, a ascending; memoised per ring and idempotent,
-    so treat the dict as read-only.
+    CONDITION_LABELS order, a ascending; built once per ring and idempotent
+    and kept on the memo of the corner eRe, so treat the dict as read-only.
 
     Row a holds check_condition(ring, idem, a, label)[0] for each label,
     with the searches read as sets: 1 asks whether a is among the
@@ -211,9 +207,7 @@ def corner_verdicts(ring: FiniteRing,
     does, up to the first b with a + b in R's set.
     """
     sweeps = _sweeps(ring, idem)
-    if sweeps.rows is None:
-        sweeps.rows = _corner_rows(ring, sweeps)
-    return sweeps.rows
+    return sweeps.ee.cached("verdicts", lambda: _corner_rows(ring, sweeps))
 
 
 def _corner_rows(ring: FiniteRing, sweeps: _Sweeps) -> dict[int, tuple[bool, ...]]:

@@ -21,6 +21,7 @@ from ringlab import (
     EQUIVALENCE_LABELS,
     Idempotent,
     InconsistencyError,
+    CornerRing,
     MatrixRing,
     PreconditionError,
     as_idempotent,
@@ -38,8 +39,10 @@ from ringlab import (
     extract_one_sided_corner_witness,
     idempotents,
     implication_violations,
+    peirce_decompose,
     theorem_verdict,
     unit_regular_set,
+    verify_payload,
     verify_ur_inheritance,
     zero_divisor_status,
 )
@@ -213,6 +216,67 @@ def test_forged_complement_is_refused_after_the_corner_was_swept(rings):
     assert check_condition(ring, idem, 3, "5")[0]
     with pytest.raises(ValueError, match="complement"):
         check_condition(ring, Idempotent(e=3, f=1), 3, "5")
+
+
+# Idempotent(3, 0) is forged on Z6: 1 - 3 = 4, not 0. The other arguments
+# are valid codes, so only the pair is at fault.
+FORGED_PAIR_CALLS = {
+    "corner_ring": corner_ring,
+    "complement": complement,
+    "peirce_decompose": lambda ring, idem: peirce_decompose(ring, idem, 1),
+    "extract_corner_witness":
+        lambda ring, idem: extract_corner_witness(ring, idem, 3, 0, 1),
+    "extract_one_sided_corner_witness":
+        lambda ring, idem: extract_one_sided_corner_witness(ring, idem, 3, 0, 1, "right"),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("entry", list(FORGED_PAIR_CALLS))
+def test_forged_pair_is_refused_by_every_entry_point(entry, warm):
+    ring = build_ring("Z6")
+    true_corner = corner_ring(ring, as_idempotent(ring, 3)) if warm else None
+    with pytest.raises(ValueError) as refused:
+        FORGED_PAIR_CALLS[entry](ring, Idempotent(e=3, f=0))
+    # the pair check's own error, before any hypothesis is looked at
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == "complement does not match 1 - e"
+    if warm:
+        assert corner_ring(ring, as_idempotent(ring, 3)) is true_corner
+
+
+@pytest.mark.parametrize("spec", ["Z12", "M2(Z2)", "T2(Z3)"])
+def test_one_corner_and_one_sweep_build_per_idempotent(monkeypatch, spec):
+    builds = {CornerRing: [], theorem_mod._Sweeps: []}
+
+    def counted(cls):
+        init = cls.__init__
+
+        def __init__(self, ring, *args):
+            init(self, ring, *args)
+            builds[cls].append((id(ring), self.idem.e))
+        return __init__
+
+    for cls in builds:
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    ring = build_ring(spec)
+    assert verify_payload(ring)[1]
+    idems = idempotents(ring)
+    for idem in idems:
+        for a in corner_ring(ring, idem).elements():
+            theorem_verdict(ring, idem, a)
+            for label in CONDITION_LABELS:
+                check_condition(ring, idem, a, label)
+        assert corner_verdicts(ring, idem) is corner_verdicts(ring, idem)
+        # a forged f meets the built corner and is refused, building nothing
+        with pytest.raises(ValueError, match="complement does not match 1 - e"):
+            check_condition(ring, Idempotent(e=idem.e, f=idem.e), idem.e, "1")
+    expected = sorted((id(ring), idem.e) for idem in idems)
+    assert sorted(builds[CornerRing]) == sorted(builds[theorem_mod._Sweeps]) == expected
+    # the corners are the one memo: keyed by code, nothing kept by pair
+    assert not {"complement", "condition_sweeps"} & ring._memo.keys()
+    assert sorted(ring._memo["corners"]) == [idem.e for idem in idems]
+    assert all(type(e) is int for e in ring._memo["corners"])
 
 
 # the corner sweep against the per-element engine --------------------------------
