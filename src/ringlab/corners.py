@@ -7,11 +7,14 @@ exe + exf + fxe + fxf, and the diagonal corners embed as a direct product
 inside R exactly when the off-diagonal parts of their sums vanish, which the
 embedding report checks exhaustively.
 
-Every function here that takes an Idempotent refuses a pair whose f is not
-1 - e, through one check (_check_pair): corner_ring runs it when it builds a
-corner or is handed an f other than the built corner's, complement and
-peirce_decompose on every call. corner_ring keeps each corner on the ring by
-its code e, as the one memo of its idempotent.
+A pair whose f is not 1 - e is refused in one place, the CornerRing
+constructor, so a pair is checked once per ring and e, when its corner is
+built. corner_ring keeps each corner on the ring by its code e, as the one
+memo of its idempotent, and builds a new one, so checking again, when
+handed an f other than the built corner's. The other functions here that
+take an Idempotent reach the check through corner_ring. Each corner eRe
+builds its complement corner fRf once and holds it, and complement returns
+that corner's pair.
 """
 
 from __future__ import annotations
@@ -44,17 +47,10 @@ def as_idempotent(ring: FiniteRing, e: int) -> Idempotent:
     return Idempotent(e=e, f=ring.sub(ring.one, e))
 
 
-def _check_pair(ring: FiniteRing, idem: Idempotent) -> None:
-    """The one check of a pair: e is an idempotent code of ring and f = 1 - e."""
-    if as_idempotent(ring, idem.e) != idem:
-        raise ValueError("complement does not match 1 - e")
-
-
 def complement(ring: FiniteRing, idem: Idempotent) -> Idempotent:
     """The pair (f, 1 - f) for a checked pair idem = (e, f): Idempotent(f, e)
-    on a lawful ring."""
-    _check_pair(ring, idem)
-    return as_idempotent(ring, idem.f)
+    on a lawful ring. It is the pair of the corner fRf that eRe holds."""
+    return corner_ring(ring, idem).complement_corner().idem
 
 
 def idempotents(ring: FiniteRing) -> tuple[Idempotent, ...]:
@@ -80,10 +76,13 @@ class CornerRing(FiniteRing):
     delegates to the ambient ring, so corner codes are ambient codes and no
     re-encoding is ever needed, and the kernels read the ambient ring's mul
     table. A corner holds no tables of its own and never fills any, as its
-    carrier is not dense: its ops are the ambient ring's.
+    carrier is not dense: its ops are the ambient ring's. The constructor
+    refuses a pair whose f is not 1 - e before it reads the carrier.
     """
 
     def __init__(self, ambient: FiniteRing, idem: Idempotent) -> None:
+        if as_idempotent(ambient, idem.e) != idem:
+            raise ValueError("complement does not match 1 - e")
         carrier = ambient.corner_carrier(idem.e)
         self.ambient = ambient
         self.idem = idem
@@ -122,6 +121,12 @@ class CornerRing(FiniteRing):
         w = ambient.units().get(ambient.add(x, self.idem.f))
         return None if w is None else ambient.mul3(e, w, e)
 
+    def complement_corner(self) -> CornerRing:
+        """The corner fRf at the pair (f, 1 - f), built once and held; its
+        constructor checks that pair as it checks every other."""
+        ring, f = self.ambient, self.idem.f
+        return self.cached("ff", lambda: corner_ring(ring, Idempotent(f, ring.sub(ring.one, f))))
+
     def element_repr(self, x: int) -> str:
         return self.ambient.element_repr(x)
 
@@ -134,14 +139,14 @@ def corner_ring(ring: FiniteRing, idem: Idempotent) -> CornerRing:
     """Corner eRe of a checked pair (e, f), memoised on the ring by the code e.
 
     The corner is the one memo of its idempotent: what is derived from e,
-    such as the condition sweeps, lives on the corner's own memo. A pair is
-    checked when its corner is built, and again when its f differs from the
-    built corner's, so a forged f is refused on a warm memo too.
+    such as the condition sweeps, lives on the corner's own memo. The corner
+    is built, and its pair so checked, on a miss and when the f handed in
+    differs from the built corner's, so a forged f is refused on a warm memo
+    too.
     """
     corners = ring.cached("corners", dict)
     ee = corners.get(idem.e)
     if ee is None or ee.idem.f != idem.f:
-        _check_pair(ring, idem)
         ee = corners[idem.e] = CornerRing(ring, idem)
     return ee
 
@@ -167,7 +172,7 @@ class PeirceParts(_Value):
 
 def peirce_decompose(ring: FiniteRing, idem: Idempotent, x: int) -> PeirceParts:
     ring.check_element(x)
-    _check_pair(ring, idem)
+    corner_ring(ring, idem)  # refuses a forged pair
     e, f = idem.e, idem.f
     parts = PeirceParts(
         ee=ring.mul3(e, x, e),
@@ -229,7 +234,7 @@ def corner_product_embedding(ring: FiniteRing, idem: Idempotent) -> CornerProduc
     nose instead of trusting the algebra.
     """
     ee = corner_ring(ring, idem)
-    ff = corner_ring(ring, complement(ring, idem))
+    ff = ee.complement_corner()
     pairs = [(x, y, ring.add(x, y)) for x in ee.elements() for y in ff.elements()]
     images = [img for _, _, img in pairs]
     image_set = set(images)

@@ -22,10 +22,11 @@ weaker one-way facts, such as condition 4 forcing condition 3, are kept as
 an explicit implication chain. Every condition reads the same per-ring
 memo of witness searches, so a broken search would break them alike;
 tests/test_memo.py catches that by comparing the memo with plain scans on
-the curated family. What the conditions at one idempotent share, its two
-corners and the candidates b of each sweep, is built once per ring and
-idempotent (_Sweeps) and kept, with the rows of corner_verdicts, on the
-memo of the corner eRe: the one memo of an idempotent.
+the curated family. What the conditions at one idempotent share, the
+corner fRf that eRe holds and the candidates b of each sweep, is built once
+per ring and idempotent (_Sweeps) and kept, with the rows of
+corner_verdicts, on the memo of the corner eRe: the one memo of an
+idempotent, whose constructor checked its pair (e, f) once.
 
 The engine comes in two forms that give the same values. verify-theorem and
 family read corner_verdicts, which decides all seven conditions for every a
@@ -45,10 +46,12 @@ replays every identity of the derivation on the actual carrier, tagging the
 subset that the hypotheses in force actually guarantee. The two-sided
 recovery and its one-sided variant are one path, _extract, told which sides
 of u's inverse are in force: each hypothesis is checked once, in one order,
-and a failed one raises PreconditionError naming it. A partner v that the
-caller leaves out comes from resolve_partner: the ring's inverse_of for
-both sides, else the first one-sided inverse of a scan of every element
-(regularity.one_sided_partner, which the one-sided search runs too).
+and a failed one raises PreconditionError naming it. It reads fRf off the
+memoised corner eRe, so a pair is checked once per ring and e, not once
+per recovery. A partner v that the caller leaves out comes from
+resolve_partner: the ring's inverse_of for both sides, else the first
+one-sided inverse of a scan of every element (regularity.one_sided_partner,
+which the one-sided search runs too).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
-from .corners import CornerRing, Idempotent, as_idempotent, complement, corner_ring, idempotents
+from .corners import CornerRing, Idempotent, as_idempotent, corner_ring, idempotents
 from .regularity import (
     one_sided_partner,
     unit_regular_witness,
@@ -105,16 +108,17 @@ class InconsistencyError(Exception):
 
 
 class _Sweeps:
-    """What the conditions read at one idempotent e: the corners eRe and fRf,
-    the map of unit-regular witnesses of R and R's units, which give each
-    witness's inverse, and the candidates b of the sweeps of conditions 3
-    through 5: the units of fRf for 3 and 3', its unit-regular elements for
-    4 and 4', and its non zero divisors for 5. Built once per ring and
-    idempotent, on the memo of the corner ee (_sweeps)."""
+    """What the conditions read at one idempotent e: the corner eRe, the
+    corner fRf that eRe holds, the map of unit-regular witnesses of R and
+    R's units, which give each witness's inverse, and the candidates b of
+    the sweeps of conditions 3 through 5: the units of fRf for 3 and 3', its
+    unit-regular elements for 4 and 4', and its non zero divisors for 5.
+    Built once per ring and idempotent, on the memo of the corner ee
+    (_sweeps)."""
 
     def __init__(self, ring: FiniteRing, ee: CornerRing) -> None:
         self.ee, self.idem = ee, ee.idem
-        ff = corner_ring(ring, complement(ring, ee.idem))
+        ff = ee.complement_corner()
         self.witnesses = unit_regular_witnesses(ring)
         self.inverse = ring.units()
         units = tuple(ff.units())
@@ -146,7 +150,7 @@ _SWEEPS = {"3": True, "3'": False, "4": True, "4'": False, "5": False}
 
 def _sweeps(ring: FiniteRing, idem: Idempotent) -> _Sweeps:
     """The _Sweeps of idem, kept on the memo of its corner eRe, whose
-    corner_ring checks the pair (e, f)."""
+    constructor refuses a pair whose f is not 1 - e."""
     ee = corner_ring(ring, idem)
     return ee.cached("sweeps", lambda: _Sweeps(ring, ee))
 
@@ -438,7 +442,7 @@ def _extract(ring: FiniteRing, idem: Idempotent, a: int, b: int, u: int,
         ring.check_element(v)
     # a is in eRe exactly when eae = a; fRf itself is needed for b's zero divisors
     e, f = idem.e, idem.f
-    ff = corner_ring(ring, complement(ring, idem))
+    ff = corner_ring(ring, idem).complement_corner()
     if not ring.contains(a) or ring.mul3(e, a, e) != a:
         raise PreconditionError(
             "a_not_in_corner", f"{ring.element_repr(a)} is not in the corner at e={e}")

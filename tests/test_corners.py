@@ -75,6 +75,19 @@ def test_idempotent_complements(rings):
         assert ring.mul(idem.e, idem.f) == ring.zero
 
 
+@pytest.mark.parametrize("spec", CURATED_FAMILY + ("broken Z6",))
+def test_each_corner_holds_its_complement_corner(rings, spec):
+    if spec == "broken Z6":
+        ring = TableRing.from_ring(ZmodRing(6), override_mul={(0, 1): 5, (5, 0): 5})
+    else:
+        ring = rings(spec)
+    for idem in idempotents(ring):
+        held = corner_ring(ring, idem).complement_corner()
+        assert held is corner_ring(ring, complement(ring, idem))
+        assert held.idem == as_idempotent(ring, idem.f)
+        assert corner_ring(ring, idem).complement_corner() is held
+
+
 def test_as_idempotent_rejects_non_idempotent(rings):
     with pytest.raises(ValueError):
         as_idempotent(rings("Z6"), 2)

@@ -7,9 +7,11 @@ reproduce them, never the other way around.
 """
 
 import json
+import sys
 
 import pytest
 
+import ringlab.corners as corners_mod
 import ringlab.theorem as theorem_mod
 from ringlab import (
     CURATED_FAMILY,
@@ -221,6 +223,7 @@ def test_forged_complement_is_refused_after_the_corner_was_swept(rings):
 # Idempotent(3, 0) is forged on Z6: 1 - 3 = 4, not 0. The other arguments
 # are valid codes, so only the pair is at fault.
 FORGED_PAIR_CALLS = {
+    "CornerRing": CornerRing,
     "corner_ring": corner_ring,
     "complement": complement,
     "peirce_decompose": lambda ring, idem: peirce_decompose(ring, idem, 1),
@@ -243,6 +246,33 @@ def test_forged_pair_is_refused_by_every_entry_point(entry, warm):
     assert str(refused.value) == "complement does not match 1 - e"
     if warm:
         assert corner_ring(ring, as_idempotent(ring, 3)) is true_corner
+
+
+@pytest.mark.parametrize("spec", ["T2(Z5)", "T2(Z4)xZ2"])
+def test_a_pair_is_checked_once_per_ring_and_e(monkeypatch, spec):
+    real = corners_mod.as_idempotent
+    calls = []
+
+    def counted(ring, e):
+        calls.append(e)
+        return real(ring, e)
+
+    # every module that imported the name, so no call goes uncounted
+    for mod in [m for name, m in list(sys.modules.items())
+                if name.partition(".")[0] == "ringlab"]:
+        if getattr(mod, "as_idempotent", None) is real:
+            monkeypatch.setattr(mod, "as_idempotent", counted)
+    ring = build_ring(spec)
+    assert verify_payload(ring)[1]
+    idems = idempotents(ring)
+    # one check per corner built; the fRf that eRe holds is the corner of
+    # another idempotent, built and checked once
+    assert sorted(calls) == sorted(idem.e for idem in idems)
+    before = len(calls)
+    idem = next(i for i in idems if i.e not in (ring.zero, ring.one))
+    for _ in range(100):
+        assert extract_corner_witness(ring, idem, idem.e, idem.f, ring.one, ring.one).ok
+    assert len(calls) == before
 
 
 @pytest.mark.parametrize("spec", ["Z12", "M2(Z2)", "T2(Z3)"])
