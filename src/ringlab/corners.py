@@ -192,6 +192,7 @@ class CornerProductEmbedding(_Record):
 
     __slots__ = ("ring", "e", "f", "pairs", "injective", "additive", "multiplicative",
                  "maps_identity_pair_to_one", "image_closed")
+    _derived = ("ok",)
 
     def __init__(self, ring: str, e: int, f: int, pairs: list[tuple[int, int, int]],
                  injective: bool, additive: bool, multiplicative: bool,
@@ -212,18 +213,9 @@ class CornerProductEmbedding(_Record):
                 and self.maps_identity_pair_to_one and self.image_closed)
 
     def to_dict(self) -> dict:
-        return {
-            "ring": self.ring,
-            "e": self.e,
-            "f": self.f,
-            "pair_count": len(self.pairs),
-            "injective": self.injective,
-            "additive": self.additive,
-            "multiplicative": self.multiplicative,
-            "maps_identity_pair_to_one": self.maps_identity_pair_to_one,
-            "image_closed": self.image_closed,
-            "ok": self.ok,
-        }
+        out = super().to_dict()
+        out["pair_count"] = len(out.pop("pairs"))
+        return out
 
 
 def corner_product_embedding(ring: FiniteRing, idem: Idempotent) -> CornerProductEmbedding:

@@ -68,19 +68,44 @@ def require_cap(cardinality: int, cap: int) -> None:
 
 
 # ringlab's records are plain classes with __slots__ and a hand-written
-# __init__; none is generated at import. A value type (a _Value) also
-# writes its own __eq__ and __hash__, by class and fields, and sets its
-# slots through _set, since it refuses assignment.
+# __init__; none is generated at import, since a shared constructor costs
+# each record a microsecond more. repr and to_dict read the fields from
+# __slots__, and to_dict then writes the properties a record names in
+# _derived. A value type (a _Value) also writes its own __eq__ and
+# __hash__, by class and fields, and sets its slots through _set, since it
+# refuses assignment.
 
 _set = object.__setattr__
 
 
 class _Record:
     __slots__ = ()
+    _derived: tuple[str, ...] = ()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+    def to_dict(self) -> dict:
+        """The fields in __slots__ order, then the _derived properties.
+
+        A dict field is written as a shallow copy, a tuple or list as a list,
+        and a list of records as a list of their to_dict; anything else as it
+        is. Types match exactly, which is faster than isinstance.
+        """
+        out = {}
+        for name in self.__slots__:
+            value = getattr(self, name)
+            kind = type(value)
+            if kind is dict:
+                value = value.copy()
+            elif kind is list or kind is tuple:
+                value = ([v.to_dict() for v in value] if value and isinstance(value[0], _Record)
+                         else list(value))
+            out[name] = value
+        for name in self._derived:
+            out[name] = getattr(self, name)
+        return out
 
 
 class _Value(_Record):
@@ -885,17 +910,6 @@ class AxiomReport(_Record):
         self.ring = ring
         self.ok = ok
         self.checks = checks
-
-    def to_dict(self) -> dict:
-        return {
-            "ring": self.ring,
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "ok": c.ok,
-                 "counterexample": list(c.counterexample) if c.counterexample else None}
-                for c in self.checks
-            ],
-        }
 
 
 _AXIOM_NAMES = ("add_associative", "add_commutative", "add_identity", "add_inverse",

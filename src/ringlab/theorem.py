@@ -251,16 +251,8 @@ class VerdictReport(_Record):
         self.consistent = consistent
 
     def to_dict(self) -> dict:
-        return {
-            "ring": self.ring,
-            "e": self.e,
-            "f": self.f,
-            "a": self.a,
-            "conditions": dict(self.conditions),
-            "witnesses": dict(self.witnesses),
-            "consistent": self.consistent,
-            "implication_violations": [list(p) for p in implication_violations(self)],
-        }
+        violations = [list(p) for p in implication_violations(self)]
+        return {**super().to_dict(), "implication_violations": violations}
 
 
 def theorem_verdict(ring: FiniteRing, idem: Idempotent, a: int) -> VerdictReport:
@@ -360,6 +352,7 @@ class CornerWitness(_Record):
     """
 
     __slots__ = ("u_prime", "v_prime", "checks", "guaranteed")
+    _derived = ("ok", "guaranteed_ok")
 
     def __init__(self, u_prime: int, v_prime: int, checks: dict[str, bool],
                  guaranteed: tuple[str, ...]) -> None:
@@ -375,16 +368,6 @@ class CornerWitness(_Record):
     @property
     def guaranteed_ok(self) -> bool:
         return all(self.checks[k] for k in self.guaranteed)
-
-    def to_dict(self) -> dict:
-        return {
-            "u_prime": self.u_prime,
-            "v_prime": self.v_prime,
-            "checks": dict(self.checks),
-            "guaranteed": list(self.guaranteed),
-            "ok": self.ok,
-            "guaranteed_ok": self.guaranteed_ok,
-        }
 
 
 def _replay_checks(ring: FiniteRing, idem: Idempotent, a: int, b: int,
@@ -519,16 +502,6 @@ class CornerInheritance(_Record):
         self.corner_unit_regular = corner_unit_regular
         self.constructive_ok = constructive_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "e": self.e,
-            "f": self.f,
-            "corner_size": self.corner_size,
-            "inclusion_ok": self.inclusion_ok,
-            "corner_unit_regular": self.corner_unit_regular,
-            "constructive_ok": self.constructive_ok,
-        }
-
 
 class InheritanceReport(_Record):
     """Corner-by-corner unit-regularity inheritance for one ring.
@@ -542,6 +515,7 @@ class InheritanceReport(_Record):
     """
 
     __slots__ = ("ring", "ambient_unit_regular", "corners")
+    _derived = ("ok",)
 
     def __init__(self, ring: str, ambient_unit_regular: bool,
                  corners: list[CornerInheritance]) -> None:
@@ -559,14 +533,6 @@ class InheritanceReport(_Record):
             if self.ambient_unit_regular and not c.corner_unit_regular:
                 return False
         return True
-
-    def to_dict(self) -> dict:
-        return {
-            "ring": self.ring,
-            "ambient_unit_regular": self.ambient_unit_regular,
-            "corners": [c.to_dict() for c in self.corners],
-            "ok": self.ok,
-        }
 
 
 def verify_ur_inheritance(ring: FiniteRing) -> InheritanceReport:
@@ -662,18 +628,8 @@ class M2ScaffoldReport(_Record):
         self.note = note
 
     def to_dict(self) -> dict:
-        return {
-            "base": self.base,
-            "s": self.s if isinstance(self.s, int) else str(self.s),
-            "t": self.t if isinstance(self.t, int) else str(self.t),
-            "identities": dict(self.identities),
-            "ambient_witnessed": self.ambient_witnessed,
-            "decidable": self.decidable,
-            "corner_unit_regular": self.corner_unit_regular,
-            "base_unit_regular": self.base_unit_regular,
-            "corner_matches_base": self.corner_matches_base,
-            "note": self.note,
-        }
+        s, t = (x if isinstance(x, int) else str(x) for x in (self.s, self.t))
+        return {**super().to_dict(), "s": s, "t": t}
 
 
 def build_m2_scaffold(base, s, t, size_cap: int = DEFAULT_SIZE_CAP) -> M2ScaffoldReport:

@@ -6,9 +6,15 @@ Each is checked against a dataclasses.make_dataclass twin declared here, from
 the fields, defaults and frozenness the records document: construction,
 defaults, attribute values and repr for all of them; ==, hash and refused
 assignment for the value types, which compare and hash by class and fields.
+The report records share one to_dict, on _Record; what each writes is
+checked against its twin's fields, plus the properties it derives and the
+three keys a record writes its own way: CornerProductEmbedding's
+pair_count, VerdictReport's implication_violations and M2ScaffoldReport's
+text s and t over a base whose elements are not codes.
 """
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -17,17 +23,29 @@ import pytest
 
 import ringlab
 from ringlab.cli import resolve_ring
-from ringlab.corners import CornerProductEmbedding, Idempotent, PeirceParts
+from ringlab.corners import (
+    CornerProductEmbedding,
+    Idempotent,
+    PeirceParts,
+    as_idempotent,
+    corner_product_embedding,
+)
 from ringlab.regularity import RegularityKind, RegularityWitness, ZeroDivisorStatus
-from ringlab.rings import AxiomCheck, AxiomReport
-from ringlab.shift import BandOperator
+from ringlab.rings import AxiomCheck, AxiomReport, check_ring_axioms
+from ringlab.shift import BandOperator, BandRing
 from ringlab.specparse import MatrixSpec, ProductSpec, TriangularSpec, ZmodSpec, parse_ring_spec
 from ringlab.theorem import (
+    CONDITION_LABELS,
     CornerInheritance,
     CornerWitness,
     InheritanceReport,
     M2ScaffoldReport,
     VerdictReport,
+    build_m2_scaffold,
+    extract_corner_witness,
+    implication_violations,
+    theorem_verdict,
+    verify_ur_inheritance,
 )
 
 _NO_DEFAULT = object()
@@ -159,6 +177,110 @@ def test_value_types_of_one_shape_differ_by_class():
     m2, t2 = resolve_ring("M2(Z2)", 2 ** 20), resolve_ring("T2(Z2)", 2 ** 20)
     assert m2 is not t2
     assert (m2.size, t2.size) == (16, 8)
+
+
+FIELDS = {r[0]: r[2] for r in RECORDS}
+REPORTS = [r for r in RECORDS if not r[1]]
+
+# the properties each report record writes after its fields
+DERIVED = {CornerProductEmbedding: ("ok",), CornerWitness: ("ok", "guaranteed_ok"),
+           InheritanceReport: ("ok",)}
+
+
+def expected_dict(record):
+    """What record.to_dict() must write, read from its dataclass twin."""
+    cls = type(record)
+    ref = twin(cls, False, FIELDS[cls])(*attrs(record, FIELDS[cls]))
+    out = {}
+    for field in dataclasses.fields(ref):
+        value = getattr(ref, field.name)
+        if isinstance(value, dict):
+            value = dict(value)
+        elif isinstance(value, (tuple, list)):
+            value = [expected_dict(v) if type(v) in FIELDS else v for v in value]
+        out[field.name] = value
+    if cls is CornerProductEmbedding:
+        out["pair_count"] = len(out.pop("pairs"))
+    elif cls is VerdictReport:
+        out["implication_violations"] = [list(p) for p in implication_violations(record)]
+    elif cls is M2ScaffoldReport:
+        for name in ("s", "t"):  # text for a base element that is not a code
+            value = getattr(ref, name)
+            out[name] = value if isinstance(value, int) else str(value)
+    out.update((name, getattr(record, name)) for name in DERIVED.get(cls, ()))
+    return out
+
+
+def built_reports():
+    """One report of each kind as the library builds it, nested records included."""
+    z6 = resolve_ring("Z6", 2 ** 20)
+    idem = as_idempotent(z6, 3)
+    return [
+        check_ring_axioms(z6),
+        corner_product_embedding(z6, idem),
+        theorem_verdict(z6, idem, 3),
+        extract_corner_witness(z6, idem, a=3, b=4, u=1),
+        verify_ur_inheritance(z6),
+        build_m2_scaffold(resolve_ring("Z4", 2 ** 20), s=3, t=3),
+        build_m2_scaffold(BandRing(), BandOperator.right_shift(), BandOperator.left_shift()),
+    ]
+
+
+# a VerdictReport lists its implication violations, which read all seven
+# conditions; it is built in full below
+WRITABLE = [r for r in REPORTS if r[0] is not VerdictReport]
+
+
+@pytest.mark.parametrize("cls, value_type, fields, a, b", WRITABLE,
+                         ids=[r[0].__name__ for r in WRITABLE])
+def test_to_dict_writes_the_twin_fields_and_the_derived_keys(cls, value_type, fields, a, b):
+    for args in (a, b):
+        record = cls(*args)
+        d = record.to_dict()
+        assert d == expected_dict(record)
+        for name, _ in fields:  # copies: writing to the dict leaves the record as it was
+            if isinstance(d.get(name), (dict, list)):
+                assert d[name] is not getattr(record, name)
+
+
+def test_built_reports_write_the_twin_fields_and_the_derived_keys():
+    reports = built_reports()
+    nested = {AxiomCheck, CornerInheritance}
+    assert {type(r) for r in reports} == {r[0] for r in REPORTS} - nested
+    for record in reports:
+        d = record.to_dict()
+        assert d == expected_dict(record), type(record).__name__
+        assert json.loads(json.dumps(d)) == d, type(record).__name__
+    embedding, band_scaffold = reports[1].to_dict(), reports[-1].to_dict()
+    assert "pairs" not in embedding and embedding["pair_count"] == 6
+    assert isinstance(band_scaffold["s"], str) and isinstance(band_scaffold["t"], str)
+
+
+def test_nested_records_are_written_by_their_own_to_dict():
+    report = AxiomReport("Z6", False, [AxiomCheck("add_inverse", False, (1,)),
+                                       AxiomCheck("add_associative", True, None)])
+    assert report.to_dict() == {
+        "ring": "Z6", "ok": False,
+        "checks": [{"name": "add_inverse", "ok": False, "counterexample": [1]},
+                   {"name": "add_associative", "ok": True, "counterexample": None}],
+    }
+    report = InheritanceReport("Z6", True, [CornerInheritance(3, 4, 2, True, False, True)])
+    assert report.to_dict() == {
+        "ring": "Z6", "ambient_unit_regular": True,
+        "corners": [{"e": 3, "f": 4, "corner_size": 2, "inclusion_ok": True,
+                     "corner_unit_regular": False, "constructive_ok": True}],
+        "ok": False,
+    }
+
+
+def test_verdict_writes_its_implication_violations():
+    conditions = dict.fromkeys(CONDITION_LABELS, True)
+    conditions.update({"3": False, "5": False})  # 4 => 3 and 3' => 5 fail
+    report = VerdictReport("Z6", 3, 4, 3, conditions, dict.fromkeys(CONDITION_LABELS))
+    d = report.to_dict()
+    assert d == expected_dict(report)
+    assert d["conditions"] == conditions and d["conditions"] is not conditions
+    assert d["implication_violations"] == [["4", "3"], ["3'", "5"]]
 
 
 def test_import_loads_no_dataclasses_or_inspect():
