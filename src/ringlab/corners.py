@@ -33,12 +33,6 @@ class Idempotent(_Value):
         _set(self, "e", e)
         _set(self, "f", f)
 
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and self.e == other.e and self.f == other.f
-
-    def __hash__(self) -> int:
-        return hash((self.e, self.f))
-
 
 def as_idempotent(ring: FiniteRing, e: int) -> Idempotent:
     ring.check_element(e)
@@ -161,13 +155,6 @@ class PeirceParts(_Value):
         _set(self, "ef", ef)
         _set(self, "fe", fe)
         _set(self, "ff", ff)
-
-    def __eq__(self, other: object) -> bool:
-        return (other.__class__ is self.__class__ and self.ee == other.ee
-                and self.ef == other.ef and self.fe == other.fe and self.ff == other.ff)
-
-    def __hash__(self) -> int:
-        return hash((self.ee, self.ef, self.fe, self.ff))
 
 
 def peirce_decompose(ring: FiniteRing, idem: Idempotent, x: int) -> PeirceParts:

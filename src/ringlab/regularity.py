@@ -57,14 +57,6 @@ class RegularityWitness(_Value):
         _set(self, "u", u)
         _set(self, "u_partner", u_partner)
 
-    def __eq__(self, other: object) -> bool:
-        return (other.__class__ is self.__class__ and self.kind == other.kind
-                and self.t == other.t and self.u == other.u
-                and self.u_partner == other.u_partner)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.t, self.u, self.u_partner))
-
 
 class ZeroDivisorStatus(_Value):
     """Whether b kills some nonzero element on the left or on the right."""
@@ -74,13 +66,6 @@ class ZeroDivisorStatus(_Value):
     def __init__(self, left: bool, right: bool) -> None:
         _set(self, "left", left)
         _set(self, "right", right)
-
-    def __eq__(self, other: object) -> bool:
-        return (other.__class__ is self.__class__ and self.left == other.left
-                and self.right == other.right)
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
 
     @property
     def clear(self) -> bool:

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .corners import as_idempotent, idempotents
 from .regularity import unit_regular_set, unit_regular_witnesses, RegularityKind
-from .rings import DEFAULT_AXIOM_CAP, FiniteRing, check_ring_axioms
+from .rings import DEFAULT_AXIOM_CAP, AxiomReport, FiniteRing, check_ring_axioms
 from .theorem import (
     CONDITION_LABELS,
     InconsistencyError,
@@ -140,9 +140,8 @@ def verify_payload(ring: FiniteRing, idempotent_code: Optional[int] = None,
             payload["note"] = "axiom failure: theorem sweep skipped"
             return payload, False
     else:
-        payload["axioms"] = {
-            "ring": ring.spec_string, "ok": None, "checks": [],
-            "skipped": f"carrier larger than axiom cap {axiom_cap}"}
+        payload["axioms"] = {**AxiomReport(ring.spec_string, None, []).to_dict(),
+                             "skipped": f"carrier larger than axiom cap {axiom_cap}"}
 
     if idempotent_code is None:
         idems = idempotents(ring)

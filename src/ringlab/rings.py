@@ -26,7 +26,7 @@ import sys
 from array import array
 from functools import partial
 from itertools import product, repeat
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import Any, Callable, Collection, Iterable, Optional, Sequence
 
 DEFAULT_SIZE_CAP = 2 ** 20
@@ -71,9 +71,9 @@ def require_cap(cardinality: int, cap: int) -> None:
 # __init__; none is generated at import, since a shared constructor costs
 # each record a microsecond more. repr and to_dict read the fields from
 # __slots__, and to_dict then writes the properties a record names in
-# _derived. A value type (a _Value) also writes its own __eq__ and
-# __hash__, by class and fields, and sets its slots through _set, since it
-# refuses assignment.
+# _derived. A value type (a _Value) compares and hashes by class and
+# fields, read from __slots__ by _Value.__init_subclass__, and sets its
+# slots through _set, since it refuses assignment.
 
 _set = object.__setattr__
 
@@ -110,6 +110,15 @@ class _Record:
 
 class _Value(_Record):
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # Equal only within the class, so MatrixSpec(2, Z2) is not
+        # TriangularSpec(2, Z2); the hash is the field tuple's. One field is
+        # read without building a tuple, on the commonest compare, ZmodSpec's.
+        get = attrgetter(*cls.__slots__)
+        key = get if len(cls.__slots__) > 1 else lambda x: (get(x),)
+        cls.__eq__ = lambda self, other: other.__class__ is cls and get(self) == get(other)
+        cls.__hash__ = lambda self: hash(key(self))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -44,13 +44,6 @@ class BandOperator(_Value):
         _set(self, "diagonals", diagonals)
         _set(self, "exceptions", exceptions)
 
-    def __eq__(self, other: object) -> bool:
-        return (other.__class__ is self.__class__ and self.diagonals == other.diagonals
-                and self.exceptions == other.exceptions)
-
-    def __hash__(self) -> int:
-        return hash((self.diagonals, self.exceptions))
-
     @classmethod
     def from_parts(cls,
                    diagonals: Iterable[tuple[int, int]] = (),

@@ -71,12 +71,6 @@ class ZmodSpec(_Value):
     def __init__(self, n: int) -> None:
         _set(self, "n", n)
 
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash((self.n,))
-
 
 class MatrixSpec(_Value):
     __slots__ = ("k", "inner")
@@ -85,17 +79,11 @@ class MatrixSpec(_Value):
         _set(self, "k", k)
         _set(self, "inner", inner)
 
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and self.k == other.k and self.inner == other.inner
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.inner))
-
 
 class TriangularSpec(_Value):
     # MatrixSpec's shape, but not its subclass: isinstance tells them apart
     __slots__ = ("k", "inner")
-    __init__, __eq__, __hash__ = MatrixSpec.__init__, MatrixSpec.__eq__, MatrixSpec.__hash__
+    __init__ = MatrixSpec.__init__
 
 
 class ProductSpec(_Value):
@@ -104,13 +92,6 @@ class ProductSpec(_Value):
     def __init__(self, left: "RingSpec", right: "RingSpec") -> None:
         _set(self, "left", left)
         _set(self, "right", right)
-
-    def __eq__(self, other: object) -> bool:
-        return (other.__class__ is self.__class__ and self.left == other.left
-                and self.right == other.right)
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
 
 
 RingSpec = Union[ZmodSpec, MatrixSpec, TriangularSpec, ProductSpec]

@@ -834,6 +834,14 @@ def test_axiom_cap_env_skips_axiom_sweep(monkeypatch, schema):
     assert "skipped" in doc["payload"]["axioms"]
 
 
+def test_capped_axioms_block_is_the_empty_report_and_its_reason():
+    ring = cli_mod.resolve_ring("T2(Z2)", DEFAULT_SIZE_CAP)
+    payload, ok = report_mod.verify_payload(ring, axiom_cap=1)
+    assert ok
+    assert payload["axioms"] == {"ring": "T2(Z2)", "ok": None, "checks": [],
+                                 "skipped": "carrier larger than axiom cap 1"}
+
+
 # output formats -----------------------------------------------------------------
 
 

@@ -31,7 +31,7 @@ from ringlab.corners import (
     corner_product_embedding,
 )
 from ringlab.regularity import RegularityKind, RegularityWitness, ZeroDivisorStatus
-from ringlab.rings import AxiomCheck, AxiomReport, check_ring_axioms
+from ringlab.rings import AxiomCheck, AxiomReport, _Value, check_ring_axioms
 from ringlab.shift import BandOperator, BandRing
 from ringlab.specparse import MatrixSpec, ProductSpec, TriangularSpec, ZmodSpec, parse_ring_spec
 from ringlab.theorem import (
@@ -161,6 +161,18 @@ def test_report_records_stay_mutable(cls, value_type, fields, a, b):
         setattr(record, name, value)
         setattr(ref, name, value)
     assert attrs(record, fields) == attrs(ref, fields) == list(b)
+
+
+def test_every_value_type_is_pinned_against_its_twin():
+    # _Value derives == and hash for each subclass; one left out of RECORDS
+    # would escape the dataclass-twin checks above
+    found, stack = set(), [_Value]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub.__module__.split(".")[0] == "ringlab":
+                found.add(sub)
+            stack.append(sub)
+    assert found == {r[0] for r in RECORDS if r[1]}
 
 
 def test_value_types_of_one_shape_differ_by_class():
