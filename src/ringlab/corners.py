@@ -133,10 +133,10 @@ def corner_ring(ring: FiniteRing, idem: Idempotent) -> CornerRing:
     """Corner eRe of a checked pair (e, f), memoised on the ring by the code e.
 
     The corner is the one memo of its idempotent: what is derived from e,
-    such as the condition sweeps, lives on the corner's own memo. The corner
-    is built, and its pair so checked, on a miss and when the f handed in
-    differs from the built corner's, so a forged f is refused on a warm memo
-    too.
+    such as the rows of the condition sweep, lives on the corner's own memo.
+    The corner is built, and its pair so checked, on a miss and when the f
+    handed in differs from the built corner's, so a forged f is refused on a
+    warm memo too.
     """
     corners = ring.cached("corners", dict)
     ee = corners.get(idem.e)

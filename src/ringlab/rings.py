@@ -32,8 +32,9 @@ from typing import Any, Callable, Collection, Iterable, Optional, Sequence
 DEFAULT_SIZE_CAP = 2 ** 20
 DEFAULT_AXIOM_CAP = 2 ** 8
 
-# Cardinalities below 10 ** EXACT_CARDINALITY_DIGITS are reported exactly;
-# larger carriers are refused whatever the cap, with cardinality None.
+# Cardinalities below 10 ** EXACT_CARDINALITY_DIGITS, and below the
+# interpreter's int-to-string digit limit, are reported exactly; larger
+# carriers are refused whatever the cap, with cardinality None.
 EXACT_CARDINALITY_DIGITS = 4000
 
 # Carriers up to this size fill their Cayley tables before a sweep over them
@@ -56,8 +57,7 @@ class SizeCapError(Exception):
 
     def __init__(self, cardinality: Optional[int], cap: int,
                  message: Optional[str] = None) -> None:
-        size = f"above 10^{EXACT_CARDINALITY_DIGITS}" if cardinality is None else cardinality
-        super().__init__(message or f"carrier of size {size} exceeds cap {cap}")
+        super().__init__(message or f"carrier of size {cardinality} exceeds cap {cap}")
         self.cardinality = cardinality
         self.cap = cap
 

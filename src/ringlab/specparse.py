@@ -245,14 +245,18 @@ def check_ring_spec(spec_or_text: Union[RingSpec, str],
 
     A carrier of 10 ** EXACT_CARDINALITY_DIGITS elements or more is refused
     from the float estimate alone, with cardinality None: its exact size
-    would cost more to compute and print than the refusal is worth. A tree
-    whose matrix constructors would list more product terms than the cap is
-    refused as well. Nothing is built.
+    would cost more to compute and print than the refusal is worth. So is a
+    carrier of 10 ** max_number_digits() or more, whose exact size the
+    interpreter would refuse to print. A tree whose matrix constructors
+    would list more product terms than the cap is refused as well. Nothing
+    is built.
     """
     node = (parse_ring_spec(spec_or_text)
             if isinstance(spec_or_text, str) else spec_or_text)
-    if _log10_cardinality(node) >= EXACT_CARDINALITY_DIGITS:
-        raise SizeCapError(None, size_cap)
+    digits = min(EXACT_CARDINALITY_DIGITS, max_number_digits())
+    if _log10_cardinality(node) >= digits:
+        raise SizeCapError(None, size_cap,
+                           f"carrier of size above 10^{digits} exceeds cap {size_cap}")
     cardinality = spec_cardinality(node)
     require_cap(cardinality, size_cap)
     if _product_terms(node) > size_cap:

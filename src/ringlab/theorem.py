@@ -22,11 +22,12 @@ weaker one-way facts, such as condition 4 forcing condition 3, are kept as
 an explicit implication chain. Every condition reads the same per-ring
 memo of witness searches, so a broken search would break them alike;
 tests/test_memo.py catches that by comparing the memo with plain scans on
-the curated family. What the conditions at one idempotent share, the
-corner fRf that eRe holds and the candidates b of each sweep, is built once
-per ring and idempotent (_Sweeps) and kept, with the rows of
-corner_verdicts, on the memo of the corner eRe: the one memo of an
-idempotent, whose constructor checked its pair (e, f) once.
+the curated family. Each ring keeps what it derives on its own memo, and
+the conditions read it there: R's witness map and units(), and the
+candidates b of each sweep, which are fRf's units(), its unit-regular
+elements and its non zero divisors (_SWEEPS). fRf is the corner that eRe
+holds, and eRe, the one memo of its idempotent, whose constructor checked
+the pair (e, f) once, keeps the rows of corner_verdicts.
 
 The engine comes in two forms that give the same values. verify-theorem and
 family read corner_verdicts, which decides all seven conditions for every a
@@ -36,9 +37,8 @@ require_consistent is its strict check, and decides one element per
 corner again through theorem_verdict. theorem_verdict and check_condition
 are the per-element API: they also return a witness for each condition,
 read each sum's witness unit off R's map of unit-regular witnesses
-(regularity.unit_regular_witnesses, one pass over R, built with the
-_Sweeps) and its inverse off R's units(), and are the tests' oracle of the
-sweep.
+(regularity.unit_regular_witnesses, one pass over R, kept on R's memo)
+and its inverse off R's units(), and are the tests' oracle of the sweep.
 
 Witness recovery goes the other way: from a unit-regularity equation for
 a + b in R it rebuilds a corner witness u' = e(u - u*b*u)e, v' = e*v*e and
@@ -57,7 +57,7 @@ which the one-sided search runs too).
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .corners import CornerRing, Idempotent, as_idempotent, corner_ring, idempotents
 from .regularity import (
@@ -107,52 +107,32 @@ class InconsistencyError(Exception):
         self.bundle = bundle
 
 
-class _Sweeps:
-    """What the conditions read at one idempotent e: the corner eRe, the
-    corner fRf that eRe holds, the map of unit-regular witnesses of R and
-    R's units, which give each witness's inverse, and the candidates b of
-    the sweeps of conditions 3 through 5: the units of fRf for 3 and 3', its
-    unit-regular elements for 4 and 4', and its non zero divisors for 5.
-    Built once per ring and idempotent, on the memo of the corner ee
-    (_sweeps)."""
-
-    def __init__(self, ring: FiniteRing, ee: CornerRing) -> None:
-        self.ee, self.idem = ee, ee.idem
-        ff = ee.complement_corner()
-        self.witnesses = unit_regular_witnesses(ring)
-        self.inverse = ring.units()
-        units = tuple(ff.units())
-        unit_regular = unit_regular_set(ff)
-        self._fixed = {"3": units, "3'": units, "4": unit_regular, "4'": unit_regular}
-        self._clear: list[int] = []
-        self._unread = (b for b in ff.elements() if zero_divisor_status(ff, b).clear)
-
-    def candidates(self, label: str) -> Iterable[int]:
-        return self._non_zero_divisors() if label == "5" else self._fixed[label]
-
-    def _non_zero_divisors(self) -> Iterator[int]:
-        clear = self._clear
-        yield from clear
-        # a for loop, not yield from: closing a sweep that stopped early
-        # must leave _unread open for the next one
-        for b in self._unread:
-            clear.append(b)
-            yield b
+def _non_zero_divisors(ff: CornerRing) -> Iterator[int]:
+    """The non zero divisors of fRf in ascending code order, from a list on
+    fRf's memo grown only as far as a sweep has read, so each zero-divisor
+    test runs once, and only until a witness is found."""
+    clear, unread = ff.cached("non_zero_divisors", lambda: (
+        [], (b for b in ff.elements() if zero_divisor_status(ff, b).clear)))
+    yield from clear
+    # a for loop, not yield from: closing a sweep that stopped early
+    # must leave unread open for the next one
+    for b in unread:
+        clear.append(b)
+        yield b
 
 
-# Conditions 3 through 5 sweep a + b over the candidates b that _Sweeps
-# holds for the label, in ascending code order; the value says whether every
-# b must work (universal) or some b (existential). The non zero divisors of
-# 5 come from a list grown only as far as a sweep has read, so each
-# zero-divisor test runs once, and only until a witness is found.
-_SWEEPS = {"3": True, "3'": False, "4": True, "4'": False, "5": False}
-
-
-def _sweeps(ring: FiniteRing, idem: Idempotent) -> _Sweeps:
-    """The _Sweeps of idem, kept on the memo of its corner eRe, whose
-    constructor refuses a pair whose f is not 1 - e."""
-    ee = corner_ring(ring, idem)
-    return ee.cached("sweeps", lambda: _Sweeps(ring, ee))
+# Conditions 3 through 5 sweep a + b over candidates b of fRf in ascending
+# code order: each label maps to the reader of its candidates and to whether
+# every b must work (universal) or some b (existential). The readers look
+# units() and unit_regular_set up at call time, so perfbench's tracer, which
+# patches both, sees every read.
+_SWEEPS = {
+    "3": (lambda ff: ff.units(), True),
+    "3'": (lambda ff: ff.units(), False),
+    "4": (lambda ff: unit_regular_set(ff), True),
+    "4'": (lambda ff: unit_regular_set(ff), False),
+    "5": (_non_zero_divisors, False),
+}
 
 
 def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
@@ -164,34 +144,34 @@ def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
     universal reports how many b were swept, a false existential reports
     nothing.
     """
-    sweeps = _sweeps(ring, idem)
-    if not sweeps.ee.contains(a):
+    ee = corner_ring(ring, idem)
+    if not ee.contains(a):
         raise PreconditionError(
             "a_not_in_corner",
             f"{ring.element_repr(a)} is not in the corner at e={idem.e}")
 
     if label == "1":
-        pair = unit_regular_witness(sweeps.ee, a)
+        pair = unit_regular_witness(ee, a)
         return (pair is not None,
                 {"u": pair[0], "u_inv": pair[1]} if pair else None)
 
-    found, inverse = sweeps.witnesses, sweeps.inverse
+    found = unit_regular_witnesses(ring)
     if label == "2":
         s = ring.add(a, idem.f)
         u = found[s]
         return (u is not None,
-                None if u is None else {"sum": s, "u": u, "u_inv": inverse[u]})
+                None if u is None else {"sum": s, "u": u, "u_inv": ring.units()[u]})
 
     if label not in _SWEEPS:
         raise ValueError(f"unknown condition label {label!r}")
-    universal, add = _SWEEPS[label], ring.add
+    (candidates, universal), add = _SWEEPS[label], ring.add
     checked = 0
-    for b in sweeps.candidates(label):
+    for b in candidates(ee.complement_corner()):
         u = found[add(a, b)]
         if universal and u is None:
             return (False, {"failing_b": b})
         if not universal and u is not None:
-            return (True, {"b": b, "u": u, "u_inv": inverse[u]})
+            return (True, {"b": b, "u": u, "u_inv": ring.units()[u]})
         checked += 1
     return (True, {"checked": checked}) if universal else (False, None)
 
@@ -206,21 +186,22 @@ def corner_verdicts(ring: FiniteRing,
     with the searches read as sets: 1 asks whether a is among the
     unit-regular elements of eRe, 2 whether a + f is among those of R. 3
     and 4 ask whether R's set holds every sum a + b over their candidates
-    b, each formed once per a by add; 3' and 4' ask whether it holds
-    one. 5 scans the non zero divisors of fRf lazily, as check_condition
-    does, up to the first b with a + b in R's set.
+    b, the units and the unit-regular elements that fRf keeps, each sum
+    formed once per a by add; 3' and 4' ask whether it holds one. 5 reads
+    the lazy scan of fRf's non zero divisors that check_condition reads, up
+    to the first b with a + b in R's set.
     """
-    sweeps = _sweeps(ring, idem)
-    return sweeps.ee.cached("verdicts", lambda: _corner_rows(ring, sweeps))
+    ee = corner_ring(ring, idem)
+    return ee.cached("verdicts", lambda: _corner_rows(ring, ee))
 
 
-def _corner_rows(ring: FiniteRing, sweeps: _Sweeps) -> dict[int, tuple[bool, ...]]:
+def _corner_rows(ring: FiniteRing, ee: CornerRing) -> dict[int, tuple[bool, ...]]:
     ur = frozenset(unit_regular_set(ring))
-    corner_ur = frozenset(unit_regular_set(sweeps.ee))
-    f, add = sweeps.idem.f, ring.add
-    units, unit_regular = sweeps.candidates("3"), sweeps.candidates("4")
+    corner_ur = frozenset(unit_regular_set(ee))
+    ff, f, add = ee.complement_corner(), ee.idem.f, ring.add
+    units, unit_regular = ff.units(), unit_regular_set(ff)
     rows = {}
-    for a in sweeps.ee.elements():
+    for a in ee.elements():
         by_units = [add(a, b) for b in units]
         by_unit_regular = [add(a, b) for b in unit_regular]
         rows[a] = (
@@ -230,7 +211,7 @@ def _corner_rows(ring: FiniteRing, sweeps: _Sweeps) -> dict[int, tuple[bool, ...
             not ur.isdisjoint(by_units),
             ur.issuperset(by_unit_regular),
             not ur.isdisjoint(by_unit_regular),
-            any(add(a, b) in ur for b in sweeps.candidates("5")),
+            any(add(a, b) in ur for b in _non_zero_divisors(ff)),
         )
     return rows
 
@@ -321,12 +302,6 @@ def require_consistent(ring: FiniteRing, idem: Idempotent,
                            f"{rows[a]} against {decided}")
 
 
-_WITNESS_CHECK_KEYS = (
-    "a=aua", "b=bub", "bua=0", "aub=0", "be=0",
-    "((1-bu)f)b=0", "(1-bu)f=0", "e(1-ub)=1-ub",
-    "u'=eu'e", "v'=ev'e", "au'a=a", "u'v'=e", "v'u'=e",
-)
-
 # Identities that hold whenever the middle identity (a+b)u(a+b) = a+b does,
 # independent of any invertibility or zero-divisor hypothesis on b and u.
 _PEIRCE_KEYS = (
@@ -337,9 +312,9 @@ _PEIRCE_KEYS = (
 _RIGHT_KEYS = _PEIRCE_KEYS + ("(1-bu)f=0", "u'v'=e")
 _LEFT_KEYS = _PEIRCE_KEYS + ("e(1-ub)=1-ub", "v'u'=e")
 
-# What a recovery promises, by the sides of u's inverse in force.
-_GUARANTEED = {("left", "right"): _WITNESS_CHECK_KEYS,
-               ("right",): _RIGHT_KEYS, ("left",): _LEFT_KEYS}
+# What a one-sided recovery promises, by the side of u's inverse in force;
+# a two-sided one promises every identity _replay_checks evaluates.
+_GUARANTEED = {("right",): _RIGHT_KEYS, ("left",): _LEFT_KEYS}
 
 
 class CornerWitness(_Record):
@@ -456,7 +431,7 @@ def _extract(ring: FiniteRing, idem: Idempotent, a: int, b: int, u: int,
                     f"{side}_inverse_condition_fails", f"{name} != 0 for u={u}, v={v}")
     u_prime, v_prime, checks = _replay_checks(ring, idem, a, b, u, v)
     return CornerWitness(u_prime=u_prime, v_prime=v_prime, checks=checks,
-                         guaranteed=_GUARANTEED[sides])
+                         guaranteed=_GUARANTEED.get(sides) or tuple(checks))
 
 
 def extract_corner_witness(ring: FiniteRing, idem: Idempotent, a: int, b: int,
@@ -542,20 +517,19 @@ def verify_ur_inheritance(ring: FiniteRing) -> InheritanceReport:
 
 def _inheritance_report(ring: FiniteRing) -> InheritanceReport:
     ambient_ur = is_unit_regular_ring(ring)
-    ambient_set = set(unit_regular_set(ring))
+    found, inverse = unit_regular_witnesses(ring), ring.units()
     corners = []
     for idem in idempotents(ring):
         ee = corner_ring(ring, idem)
         corner_set = unit_regular_set(ee)
-        inclusion_ok = all(x in ambient_set for x in corner_set)
+        inclusion_ok = all(found[x] is not None for x in corner_set)
         corner_ur = len(corner_set) == ee.size
         constructive: Optional[bool] = None
         if ambient_ur:
             # every a + f has a witness: R is unit regular
-            found, inverse, f = unit_regular_witnesses(ring), ring.units(), idem.f
             constructive = all(
-                extract_corner_witness(ring, idem, a, f, u := found[ring.add(a, f)],
-                                       inverse[u]).ok
+                extract_corner_witness(ring, idem, a, idem.f,
+                                       u := found[ring.add(a, idem.f)], inverse[u]).ok
                 for a in ee.elements())
         corners.append(CornerInheritance(
             e=idem.e, f=idem.f, corner_size=ee.size,

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from ringlab import (
+    DEFAULT_SIZE_CAP,
     MatrixRing,
     MatrixSpec,
     ProductRing,
@@ -17,10 +18,12 @@ from ringlab import (
     ZmodRing,
     ZmodSpec,
     build_ring,
+    emit_report,
     parse_ring_spec,
     spec_cardinality,
     spec_to_text,
 )
+from ringlab.cli import EXIT_CAP, run_command
 from ringlab.specparse import MAX_NUMBER_DIGITS, MAX_SPEC_DEPTH, max_number_digits
 
 
@@ -196,8 +199,18 @@ def test_number_digit_bound_follows_a_lowered_interpreter_limit():
             with pytest.raises(RingSpecError) as exc:
                 parse_ring_spec("Z" + "9" * digits)
             assert str(exc.value) == "number longer than 640 digits at offset 1"
+        # 10^900 elements: below 10^4000, but its exact size has more digits
+        # than the interpreter prints, so it is refused from the estimate
+        code, doc = run_command(["classify", "--ring", "M30(Z10)"])
+        assert code == EXIT_CAP
+        assert doc["payload"] == {
+            "cardinality": None, "cap": DEFAULT_SIZE_CAP,
+            "message": f"carrier of size above 10^640 exceeds cap {DEFAULT_SIZE_CAP}"}
+        assert '"cardinality": null' in emit_report(doc)
         sys.set_int_max_str_digits(0)  # no limit: the fixed bound holds
         assert max_number_digits() == MAX_NUMBER_DIGITS
+        assert run_command(["classify", "--ring", "M30(Z10)"])[1]["payload"][
+            "cardinality"] == 10 ** 900
     finally:
         sys.set_int_max_str_digits(saved)
 

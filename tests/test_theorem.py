@@ -50,11 +50,13 @@ from ringlab import (
 )
 from oracles import verify_equivalences
 
-ALL_CHECK_NAMES = {
+# the identities a recovery replays, in the order it replays them
+REPLAY_ORDER = (
     "a=aua", "b=bub", "bua=0", "aub=0", "be=0",
     "((1-bu)f)b=0", "(1-bu)f=0", "e(1-ub)=1-ub",
     "u'=eu'e", "v'=ev'e", "au'a=a", "u'v'=e", "v'u'=e",
-}
+)
+ALL_CHECK_NAMES = set(REPLAY_ORDER)
 
 
 # label structure -------------------------------------------------------------
@@ -212,6 +214,23 @@ def test_conditions_do_not_depend_on_the_order_they_are_asked_in(spec):
                     conditions[label], witnesses[label]), (idem.e, a, label)
 
 
+def test_condition_5_scans_the_non_zero_divisors_of_fRf_lazily():
+    # at e = 0 the corner fRf is all of M2(Z3). Condition 5 on a = 0 stops at
+    # the first non zero divisor b, code 12, so the scan tests codes 0 to 12
+    # once each; the inheritance replay adds b = f = 28. A scan of every
+    # element would test all 81, and a rescan would test none again.
+    ring = build_ring("M2(Z3)")
+    assert verify_payload(ring)[1]
+    idem = as_idempotent(ring, 0)
+    ee = corner_ring(ring, idem)
+    ff = ee.complement_corner()
+    tested = ff._memo["zero_divisor_status"]
+    assert ff.size == 81 and sorted(tested) == [*range(13), 28]
+    for a in ee.elements():
+        assert theorem_verdict(ring, idem, a).witnesses["5"]["b"] == 12
+    assert sorted(tested) == [*range(13), 28]
+
+
 def test_forged_complement_is_refused_after_the_corner_was_swept(rings):
     ring = rings("Z6")
     idem = as_idempotent(ring, 3)
@@ -277,18 +296,23 @@ def test_a_pair_is_checked_once_per_ring_and_e(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec", ["Z12", "M2(Z2)", "T2(Z3)"])
 def test_one_corner_and_one_sweep_build_per_idempotent(monkeypatch, spec):
-    builds = {CornerRing: [], theorem_mod._Sweeps: []}
+    # one corner per idempotent, and one lazy scan of the non zero divisors
+    # of condition 5 per corner fRf, built on fRf's own memo
+    builds = {"corner": [], "scan": []}
+    init, cached = CornerRing.__init__, CornerRing.cached
 
-    def counted(cls):
-        init = cls.__init__
+    def counted_init(self, ring, *args):
+        init(self, ring, *args)
+        builds["corner"].append((id(ring), self.idem.e))
 
-        def __init__(self, ring, *args):
-            init(self, ring, *args)
-            builds[cls].append((id(ring), self.idem.e))
-        return __init__
+    def counted_cached(self, key, compute):
+        def scan():
+            builds["scan"].append((id(self.ambient), self.idem.e))
+            return compute()
+        return cached(self, key, scan if key == "non_zero_divisors" else compute)
 
-    for cls in builds:
-        monkeypatch.setattr(cls, "__init__", counted(cls))
+    monkeypatch.setattr(CornerRing, "__init__", counted_init)
+    monkeypatch.setattr(CornerRing, "cached", counted_cached)
     ring = build_ring(spec)
     assert verify_payload(ring)[1]
     idems = idempotents(ring)
@@ -302,7 +326,8 @@ def test_one_corner_and_one_sweep_build_per_idempotent(monkeypatch, spec):
         with pytest.raises(ValueError, match="complement does not match 1 - e"):
             check_condition(ring, Idempotent(e=idem.e, f=idem.e), idem.e, "1")
     expected = sorted((id(ring), idem.e) for idem in idems)
-    assert sorted(builds[CornerRing]) == sorted(builds[theorem_mod._Sweeps]) == expected
+    assert sorted(builds["corner"]) == sorted(builds["scan"]) == expected
+    assert not any("sweeps" in ee._memo for ee in ring._memo["corners"].values())
     # the corners are the one memo: keyed by code, nothing kept by pair
     assert not {"complement", "condition_sweeps"} & ring._memo.keys()
     assert sorted(ring._memo["corners"]) == [idem.e for idem in idems]
@@ -459,7 +484,8 @@ def test_witness_recovery_frozen_z6(rings):
     w = extract_corner_witness(ring, as_idempotent(ring, 3), a=3, b=4, u=1)
     assert (w.u_prime, w.v_prime) == (3, 3)
     assert set(w.checks) == ALL_CHECK_NAMES
-    assert set(w.guaranteed) == ALL_CHECK_NAMES  # two-sided promises everything
+    # two-sided promises everything, in replay order
+    assert w.guaranteed == tuple(w.checks) == REPLAY_ORDER
     assert w.ok and w.guaranteed_ok
     d = w.to_dict()
     assert d["ok"] and d["u_prime"] == 3
