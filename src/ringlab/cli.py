@@ -12,8 +12,9 @@ family.
 
 run_command resolves a --ring command's ring once and keeps the rings it
 builds for the life of the process, in a least-recently-used cache keyed by
-the parsed description and bounded by RING_CACHE_BUDGET table entries
-(resolve_ring). The caps are checked on every request before the lookup.
+the canonical text of the parsed description and bounded by
+RING_CACHE_BUDGET table entries (resolve_ring). The caps are checked on
+every request before the lookup.
 specparse.build_ring stays uncached and returns a fresh ring.
 
 Each command's options are declared once, in COMMANDS, each with the one
@@ -56,11 +57,11 @@ from .rings import (
     SizeCapError,
 )
 from .specparse import (
-    RingSpec,
     RingSpecError,
     _product_terms,
     build_ring,
     check_ring_spec,
+    spec_to_text,
 )
 from .theorem import PreconditionError
 
@@ -239,7 +240,7 @@ _parser: Optional[argparse.ArgumentParser] = None
 # too. A ring over the budget alone is never kept.
 RING_CACHE_BUDGET = 2 * 1024 ** 2
 _TERM_WEIGHT = 32
-_rings: "OrderedDict[RingSpec, tuple[FiniteRing, int]]" = OrderedDict()
+_rings: "OrderedDict[str, tuple[FiniteRing, int]]" = OrderedDict()
 _rings_weight = 0
 
 
@@ -247,18 +248,20 @@ def resolve_ring(text: str, size_cap: int) -> FiniteRing:
     """The ring of a description: cached, or built with build_ring and kept.
 
     The description is parsed and checked against size_cap before the
-    lookup, so a cached ring is refused exactly as a cold one would be.
+    lookup, so a cached ring is refused exactly as a cold one would be. The
+    key is the tree's canonical text, one string hashed once per lookup.
     """
     global _rings_weight
     node = check_ring_spec(text, size_cap)
-    entry = _rings.pop(node, None)
+    key = spec_to_text(node)
+    entry = _rings.get(key)
     if entry is not None:
-        _rings[node] = entry  # most recently used last
+        _rings.move_to_end(key)  # most recently used last
         return entry[0]
     ring = build_ring(node, size_cap)
     weight = ring.size ** 2 + _TERM_WEIGHT * _product_terms(node)
     if weight <= RING_CACHE_BUDGET:
-        _rings[node] = (ring, weight)
+        _rings[key] = (ring, weight)
         _rings_weight += weight
         while _rings_weight > RING_CACHE_BUDGET:
             _rings_weight -= _rings.popitem(last=False)[1][1]

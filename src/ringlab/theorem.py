@@ -19,26 +19,33 @@ eRe, and a finite eRe has stable range 1. 4' can be strictly weaker only
 over an infinite carrier, such as the band ring of the shift demo, so it is
 evaluated and recorded but never folded into the consistency verdict. The
 weaker one-way facts, such as condition 4 forcing condition 3, are kept as
-an explicit implication chain. Every condition reads the same per-ring
-memo of witness searches, so a broken search would break them alike;
-tests/test_memo.py catches that by comparing the memo with plain scans on
-the curated family. Each ring keeps what it derives on its own memo, and
-the conditions read it there: R's witness map and units(), and the
-candidates b of each sweep, which are fRf's units(), its unit-regular
-elements and its non zero divisors (_SWEEPS). fRf is the corner that eRe
+an explicit implication chain.
+
+One search decides every condition (_first_hits). For each a it takes a
+first hit per label: eRe's witness unit for a (1), R's for a + f (2), and
+for 3 to 5 the first candidate b of fRf, in ascending code order, whose sum
+a + b is unit regular in R (3', 4', 5) or is not (3, 4). The candidates are
+fRf's units, its unit-regular elements and its non zero divisors, the last
+read off a list on fRf's memo that grows only as far as a search has read.
+An existential holds on a hit, a universal on none. Every hit reads the
+per-ring memos of witness searches (regularity.unit_regular_witnesses), so
+a broken search would break the conditions alike; tests/test_memo.py
+catches that by comparing the memos with plain scans on the curated family.
+Each ring keeps what it derives on its own memo: fRf is the corner that eRe
 holds, and eRe, the one memo of its idempotent, whose constructor checked
 the pair (e, f) once, keeps the rows of corner_verdicts.
 
-The engine comes in two forms that give the same values. verify-theorem and
-family read corner_verdicts, which decides all seven conditions for every a
-of a corner at once from the unit-regular elements of R and of eRe read as
-sets, forms each sum a + b once with add, and keeps the rows on eRe;
-require_consistent is its strict check, and decides one element per
-corner again through theorem_verdict. theorem_verdict and check_condition
-are the per-element API: they also return a witness for each condition,
-read each sum's witness unit off R's map of unit-regular witnesses
-(regularity.unit_regular_witnesses, one pass over R, kept on R's memo)
-and its inverse off R's units(), and are the tests' oracle of the sweep.
+The search has three readers. corner_verdicts keeps, for every a of a
+corner, whether each condition holds, reading the memos once per corner;
+verify-theorem and family read these rows. theorem_verdict and
+check_condition, the per-element API, read them once per element and turn
+the same hits into witnesses: the chosen b, or the sum a + f, with the
+middle unit and its inverse off the units() of R or of eRe; the first
+failing b of a false universal; the number of b a true universal swept.
+require_consistent is the strict check of the rows: it raises the first
+unsound row's bundle, with the search's witnesses, and decides the
+corner's last element again through theorem_verdict, which catches a row
+changed after the search gave it.
 
 Witness recovery goes the other way: from a unit-regularity equation for
 a + b in R it rebuilds a corner witness u' = e(u - u*b*u)e, v' = e*v*e and
@@ -109,127 +116,114 @@ class InconsistencyError(Exception):
 
 def _non_zero_divisors(ff: CornerRing) -> Iterator[int]:
     """The non zero divisors of fRf in ascending code order, from a list on
-    fRf's memo grown only as far as a sweep has read, so each zero-divisor
-    test runs once, and only until a witness is found."""
+    fRf's memo grown only as far as a search has read, so each zero-divisor
+    test runs once, and only until a hit is found."""
     clear, unread = ff.cached("non_zero_divisors", lambda: (
         [], (b for b in ff.elements() if zero_divisor_status(ff, b).clear)))
     yield from clear
-    # a for loop, not yield from: closing a sweep that stopped early
+    # a for loop, not yield from: closing a search that stopped early
     # must leave unread open for the next one
     for b in unread:
         clear.append(b)
         yield b
 
 
-# Conditions 3 through 5 sweep a + b over candidates b of fRf in ascending
-# code order: each label maps to the reader of its candidates and to whether
-# every b must work (universal) or some b (existential). The readers look
-# units() and unit_regular_set up at call time, so perfbench's tracer, which
-# patches both, sees every read.
-_SWEEPS = {
-    "3": (lambda ff: ff.units(), True),
-    "3'": (lambda ff: ff.units(), False),
-    "4": (lambda ff: unit_regular_set(ff), True),
-    "4'": (lambda ff: unit_regular_set(ff), False),
-    "5": (_non_zero_divisors, False),
-}
+def _reads(ring: FiniteRing, ee: CornerRing) -> tuple:
+    """What the search reads off the memos of R, eRe and fRf: eRe's and R's
+    witness maps, R's add, f, and fRf with its units and unit-regular
+    elements."""
+    ff = ee.complement_corner()
+    return (unit_regular_witnesses(ee), unit_regular_witnesses(ring), ring.add, ee.idem.f,
+            ff, ff.units(), unit_regular_set(ff))
+
+
+def _first(found: dict, add, a: int, candidates, unit_regular: bool) -> Optional[int]:
+    """The first b of candidates whose sum a + b is unit regular in R, or is
+    not when unit_regular is False; None when there is none."""
+    for b in candidates:
+        if (found[add(a, b)] is not None) is unit_regular:
+            return b
+    return None
+
+
+def _first_hits(reads: tuple, a: int) -> tuple[Optional[int], ...]:
+    """The engine: the first hit of each condition on a, in CONDITION_LABELS
+    order. 1 hits eRe's witness unit for a, and 2 R's for a + f. 3 and 4 hit
+    the first unit, or unit-regular element, b of fRf whose sum a + b is not
+    unit regular in R, and 3', 4' and 5 the first unit, unit-regular element
+    or non zero divisor b of fRf whose sum is. None is no hit."""
+    corner_found, found, add, f, ff, units, unit_regular = reads
+    return (corner_found[a], found[add(a, f)],
+            _first(found, add, a, units, False), _first(found, add, a, units, True),
+            _first(found, add, a, unit_regular, False),
+            _first(found, add, a, unit_regular, True),
+            _first(found, add, a, _non_zero_divisors(ff), True))
+
+
+def _holds(hits: tuple[Optional[int], ...]) -> tuple[bool, ...]:
+    """Whether each condition holds: an existential on a hit, a universal,
+    3 or 4, on none, as no b fails it."""
+    one, two, three, three_p, four, four_p, five = hits
+    return (one is not None, two is not None, three is None, three_p is not None,
+            four is None, four_p is not None, five is not None)
 
 
 def check_condition(ring: FiniteRing, idem: Idempotent, a: int,
                     label: str) -> tuple[bool, Optional[dict]]:
-    """Evaluate one condition for a in eRe; returns (holds, witness).
+    """Evaluate one condition for a in eRe; returns (holds, witness), as
+    theorem_verdict gives them.
 
     For a true existential the witness holds the chosen b and the middle
     unit; for a false universal it holds the first failing b. A true
     universal reports how many b were swept, a false existential reports
     nothing.
     """
-    ee = corner_ring(ring, idem)
-    if not ee.contains(a):
-        raise PreconditionError(
-            "a_not_in_corner",
-            f"{ring.element_repr(a)} is not in the corner at e={idem.e}")
-
-    if label == "1":
-        pair = unit_regular_witness(ee, a)
-        return (pair is not None,
-                {"u": pair[0], "u_inv": pair[1]} if pair else None)
-
-    found = unit_regular_witnesses(ring)
-    if label == "2":
-        s = ring.add(a, idem.f)
-        u = found[s]
-        return (u is not None,
-                None if u is None else {"sum": s, "u": u, "u_inv": ring.units()[u]})
-
-    if label not in _SWEEPS:
+    report = theorem_verdict(ring, idem, a)
+    if label not in report.conditions:
         raise ValueError(f"unknown condition label {label!r}")
-    (candidates, universal), add = _SWEEPS[label], ring.add
-    checked = 0
-    for b in candidates(ee.complement_corner()):
-        u = found[add(a, b)]
-        if universal and u is None:
-            return (False, {"failing_b": b})
-        if not universal and u is not None:
-            return (True, {"b": b, "u": u, "u_inv": ring.units()[u]})
-        checked += 1
-    return (True, {"checked": checked}) if universal else (False, None)
+    return report.conditions[label], report.witnesses[label]
 
 
 def corner_verdicts(ring: FiniteRing,
                     idem: Idempotent) -> dict[int, tuple[bool, ...]]:
     """Every condition on every a of eRe: a -> the seven values in
-    CONDITION_LABELS order, a ascending; built once per ring and idempotent
-    and kept on the memo of the corner eRe, so treat the dict as read-only.
-
-    Row a holds check_condition(ring, idem, a, label)[0] for each label,
-    with the searches read as sets: 1 asks whether a is among the
-    unit-regular elements of eRe, 2 whether a + f is among those of R. 3
-    and 4 ask whether R's set holds every sum a + b over their candidates
-    b, the units and the unit-regular elements that fRf keeps, each sum
-    formed once per a by add; 3' and 4' ask whether it holds one. 5 reads
-    the lazy scan of fRf's non zero divisors that check_condition reads, up
-    to the first b with a + b in R's set.
+    CONDITION_LABELS order, a ascending, each whether the condition holds
+    by the search that theorem_verdict runs; built once per ring and
+    idempotent and kept on the memo of the corner eRe, so treat the dict as
+    read-only.
     """
     ee = corner_ring(ring, idem)
-    return ee.cached("verdicts", lambda: _corner_rows(ring, ee))
+
+    def rows() -> dict[int, tuple[bool, ...]]:
+        reads = _reads(ring, ee)
+        return {a: _holds(_first_hits(reads, a)) for a in ee.elements()}
+
+    return ee.cached("verdicts", rows)
 
 
-def _corner_rows(ring: FiniteRing, ee: CornerRing) -> dict[int, tuple[bool, ...]]:
-    ur = frozenset(unit_regular_set(ring))
-    corner_ur = frozenset(unit_regular_set(ee))
-    ff, f, add = ee.complement_corner(), ee.idem.f, ring.add
-    units, unit_regular = ff.units(), unit_regular_set(ff)
-    rows = {}
-    for a in ee.elements():
-        by_units = [add(a, b) for b in units]
-        by_unit_regular = [add(a, b) for b in unit_regular]
-        rows[a] = (
-            a in corner_ur,
-            add(a, f) in ur,
-            ur.issuperset(by_units),
-            not ur.isdisjoint(by_units),
-            ur.issuperset(by_unit_regular),
-            not ur.isdisjoint(by_unit_regular),
-            any(add(a, b) in ur for b in _non_zero_divisors(ff)),
-        )
-    return rows
+def _agree(conditions: dict[str, bool]) -> bool:
+    return len({conditions[label] for label in EQUIVALENCE_LABELS}) == 1
 
 
 class VerdictReport(_Record):
-    """All condition values for one corner element, plus agreement status."""
+    """All condition values for one corner element; consistent says whether
+    the equivalent ones agree."""
 
-    __slots__ = ("ring", "e", "f", "a", "conditions", "witnesses", "consistent")
+    __slots__ = ("ring", "e", "f", "a", "conditions", "witnesses")
+    _derived = ("consistent",)
 
     def __init__(self, ring: str, e: int, f: int, a: int, conditions: dict[str, bool],
-                 witnesses: dict[str, Optional[dict]], consistent: bool = True) -> None:
+                 witnesses: dict[str, Optional[dict]]) -> None:
         self.ring = ring
         self.e = e
         self.f = f
         self.a = a
         self.conditions = conditions
         self.witnesses = witnesses
-        self.consistent = consistent
+
+    @property
+    def consistent(self) -> bool:
+        return _agree(self.conditions)
 
     def to_dict(self) -> dict:
         violations = [list(p) for p in implication_violations(self)]
@@ -237,22 +231,33 @@ class VerdictReport(_Record):
 
 
 def theorem_verdict(ring: FiniteRing, idem: Idempotent, a: int) -> VerdictReport:
-    conditions: dict[str, bool] = {}
-    witnesses: dict[str, Optional[dict]] = {}
-    for label in CONDITION_LABELS:
-        holds, witness = check_condition(ring, idem, a, label)
-        conditions[label] = holds
-        witnesses[label] = witness
-    return _verdict(ring, idem, a, conditions, witnesses)
+    """Every condition on a in eRe, with the witness its hit gives. A true
+    existential gives its b, or the sum a + f for 2, and the middle unit
+    with its inverse; a false universal its first failing b; a true
+    universal how many b it swept; a false existential nothing."""
+    ee = corner_ring(ring, idem)
+    if not ee.contains(a):
+        raise PreconditionError(
+            "a_not_in_corner", f"{ring.element_repr(a)} is not in the corner at e={idem.e}")
+    reads = _reads(ring, ee)
+    _, found, add, f, _, units, unit_regular = reads
+    hits = one, two, three, three_p, four, four_p, five = _first_hits(reads, a)
+    inverse = ring.units()
 
+    def met(b: Optional[int]) -> Optional[dict]:
+        return None if b is None else {"b": b, "u": (u := found[add(a, b)]), "u_inv": inverse[u]}
 
-def _verdict(ring: FiniteRing, idem: Idempotent, a: int, conditions: dict[str, bool],
-             witnesses: dict[str, Optional[dict]]) -> VerdictReport:
-    agreed = {conditions[label] for label in EQUIVALENCE_LABELS}
-    return VerdictReport(
-        ring=ring.spec_string, e=idem.e, f=idem.f, a=a,
-        conditions=conditions, witnesses=witnesses,
-        consistent=len(agreed) == 1)
+    witnesses = {
+        "1": None if one is None else {"u": one, "u_inv": ee.units()[one]},
+        "2": None if two is None else {"sum": add(a, f), "u": two, "u_inv": inverse[two]},
+        "3": {"checked": len(units)} if three is None else {"failing_b": three},
+        "3'": met(three_p),
+        "4": {"checked": len(unit_regular)} if four is None else {"failing_b": four},
+        "4'": met(four_p),
+        "5": met(five),
+    }
+    return VerdictReport(ring.spec_string, idem.e, idem.f, a,
+                         dict(zip(CONDITION_LABELS, _holds(hits))), witnesses)
 
 
 def implication_violations(report: VerdictReport) -> list[tuple[str, str]]:
@@ -265,8 +270,7 @@ def _violations(conditions: dict[str, bool]) -> list[tuple[str, str]]:
 
 def _sound(conditions: dict[str, bool]) -> bool:
     """The strict check: the equivalent conditions agree, no implication fails."""
-    return (len({conditions[label] for label in EQUIVALENCE_LABELS}) == 1
-            and not _violations(conditions))
+    return _agree(conditions) and not _violations(conditions)
 
 
 # Every row of seven values that passes the strict check.
@@ -277,23 +281,22 @@ _SOUND_ROWS = frozenset(
 
 def require_consistent(ring: FiniteRing, idem: Idempotent,
                        rows: dict[int, tuple[bool, ...]]) -> None:
-    """The strict check on rows of corner_verdicts, and a cross-check of
-    the sweep against the per-element engine.
+    """The strict check on rows of corner_verdicts, and a re-decision of
+    the corner's last element.
 
     The first row whose equivalent conditions disagree, or whose one-way
     implications fail, raises InconsistencyError with the bundle of that
-    element: the row's conditions, and check_condition's witnesses. Then
+    element: the row's conditions, and the witnesses of the search. Then
     theorem_verdict decides the corner's last element again; a row that
-    differs from it is a fault of the sweep, not of the theorem, and raises
+    differs from it was changed after the search gave it, and raises
     RuntimeError.
     """
     bad = next(((a, row) for a, row in rows.items() if row not in _SOUND_ROWS), None)
     if bad is not None:
         a, row = bad
-        witnesses = {label: check_condition(ring, idem, a, label)[1]
-                     for label in CONDITION_LABELS}
-        conditions = dict(zip(CONDITION_LABELS, row))
-        raise InconsistencyError(_verdict(ring, idem, a, conditions, witnesses).to_dict())
+        report = theorem_verdict(ring, idem, a)
+        report.conditions = dict(zip(CONDITION_LABELS, row))
+        raise InconsistencyError(report.to_dict())
     a = next(reversed(rows))
     decided = theorem_verdict(ring, idem, a).conditions
     if rows[a] != tuple(decided[label] for label in CONDITION_LABELS):

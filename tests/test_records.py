@@ -79,10 +79,9 @@ RECORDS = [
      ("Z6", 3, 4, [(0, 0, 0)], True, True, True, True, True),
      ("Z6", 4, 3, [], True, False, True, True, True)),
     (VerdictReport, False,
-     [(n, _NO_DEFAULT) for n in ("ring", "e", "f", "a", "conditions", "witnesses")]
-     + [("consistent", True)],
-     ("Z6", 3, 4, 3, {"1": True}, {"1": None}, True),
-     ("Z6", 3, 4, 0, {"1": False}, {}, False)),
+     [(n, _NO_DEFAULT) for n in ("ring", "e", "f", "a", "conditions", "witnesses")],
+     ("Z6", 3, 4, 3, {"1": True}, {"1": None}),
+     ("Z6", 3, 4, 0, {"1": False}, {})),
     (CornerWitness, False,
      [(n, _NO_DEFAULT) for n in ("u_prime", "v_prime", "checks", "guaranteed")],
      (1, 1, {"au'a=a": True}, ("au'a=a",)), (1, 2, {}, ())),
@@ -196,7 +195,7 @@ REPORTS = [r for r in RECORDS if not r[1]]
 
 # the properties each report record writes after its fields
 DERIVED = {CornerProductEmbedding: ("ok",), CornerWitness: ("ok", "guaranteed_ok"),
-           InheritanceReport: ("ok",)}
+           InheritanceReport: ("ok",), VerdictReport: ("consistent",)}
 
 
 def expected_dict(record):
@@ -293,6 +292,19 @@ def test_verdict_writes_its_implication_violations():
     assert d == expected_dict(report)
     assert d["conditions"] == conditions and d["conditions"] is not conditions
     assert d["implication_violations"] == [["4", "3"], ["3'", "5"]]
+
+
+def test_verdict_consistency_is_read_off_its_conditions():
+    conditions = dict.fromkeys(CONDITION_LABELS, True)
+    conditions.update({"3": False, "5": False})
+    report = VerdictReport("Z6", 3, 4, 3, conditions, dict.fromkeys(CONDITION_LABELS))
+    assert report.consistent is False
+    assert report.to_dict()["consistent"] is False
+    # 4' is recorded but left out of the agreement
+    report.conditions = {**dict.fromkeys(CONDITION_LABELS, True), "4'": False}
+    assert report.consistent is True
+    report.conditions = dict.fromkeys(CONDITION_LABELS, False)
+    assert report.consistent is True
 
 
 def test_import_loads_no_dataclasses_or_inspect():

@@ -48,7 +48,7 @@ from ringlab import (
     verify_ur_inheritance,
     zero_divisor_status,
 )
-from oracles import verify_equivalences
+from oracles import corner_rows_by_sets, verify_equivalences
 
 # the identities a recovery replays, in the order it replays them
 REPLAY_ORDER = (
@@ -334,7 +334,7 @@ def test_one_corner_and_one_sweep_build_per_idempotent(monkeypatch, spec):
     assert all(type(e) is int for e in ring._memo["corners"])
 
 
-# the corner sweep against the per-element engine --------------------------------
+# the corner sweep against its oracles -----------------------------------------
 
 
 def _broken_z6():
@@ -347,17 +347,68 @@ def _broken_z6():
 
 @pytest.mark.parametrize("spec", CURATED_FAMILY + ("M2(Z4)", "T2(Z8)", "Z210", "brokenZ6"))
 def test_corner_sweep_matches_check_condition(spec):
-    # every row against the per-element engine on a ring of its own, so no
+    # every row against the set-based sweep on a ring of its own, so no
     # memo is shared between the two
     build = _broken_z6 if spec == "brokenZ6" else lambda: build_ring(spec)
     ring, oracle = build(), build()
     for idem in idempotents(ring):
         rows = corner_verdicts(ring, idem)
         assert list(rows) == list(corner_ring(ring, idem).elements())
-        for a, row in rows.items():
-            assert row == tuple(check_condition(oracle, idem, a, label)[0]
-                                for label in CONDITION_LABELS), (idem.e, a)
+        assert rows == corner_rows_by_sets(oracle, idem), idem.e
         assert corner_verdicts(ring, idem) is rows  # memoised
+
+
+@pytest.mark.parametrize("spec", CURATED_FAMILY + ("T2(Z4)xZ2", "brokenZ6"))
+def test_every_reported_witness_replays_on_products_formed_here(spec):
+    # each witness of theorem_verdict, checked with ring.mul and ring.add
+    # alone, against units and candidate sets found by plain scans here
+    ring = _broken_z6() if spec == "brokenZ6" else build_ring(spec)
+    add, mul, zero, one = ring.add, ring.mul, ring.zero, ring.one
+    elements = list(ring.elements())
+
+    def sandwich(s, u):
+        return mul(mul(s, u), s) == s
+
+    def inverse_pair(u, v, identity):
+        return mul(u, v) == identity and mul(v, u) == identity
+
+    units = [v for v in elements if any(inverse_pair(v, w, one) for w in elements)]
+    for idem in idempotents(ring):
+        e, f = idem.e, idem.f
+        ff = sorted({mul(mul(f, x), f) for x in elements})
+        ff_units = [b for b in ff if any(inverse_pair(b, c, f) for c in ff)]
+        ff_unit_regular = [b for b in ff if any(sandwich(b, v) for v in ff_units)]
+        ff_clear = [b for b in ff if all(mul(b, c) != zero and mul(c, b) != zero
+                                         for c in ff if c != zero)]
+        candidates = {"3": ff_units, "3'": ff_units, "4": ff_unit_regular,
+                      "4'": ff_unit_regular, "5": ff_clear}
+        for a in corner_ring(ring, idem).elements():
+            report = theorem_verdict(ring, idem, a)
+            for label in CONDITION_LABELS:
+                holds, w = report.conditions[label], report.witnesses[label]
+                where = (idem.e, a, label)
+                if label in ("3", "4"):
+                    if holds:
+                        assert w == {"checked": len(candidates[label])}, where
+                    else:
+                        b = w["failing_b"]
+                        assert b in candidates[label], where
+                        assert not any(sandwich(add(a, b), v) for v in units), where
+                    continue
+                if not holds:
+                    assert w is None, where
+                    continue
+                u, u_inv = w["u"], w["u_inv"]
+                if label == "1":
+                    assert sandwich(a, u) and inverse_pair(u, u_inv, e), where
+                    continue
+                if label == "2":
+                    s = w["sum"]
+                    assert s == add(a, f), where
+                else:
+                    assert w["b"] in candidates[label], where
+                    s = add(a, w["b"])
+                assert sandwich(s, u) and inverse_pair(u, u_inv, one), where
 
 
 def test_the_broken_table_parts_the_conditions_the_sweep_reads_as_sets():
@@ -433,15 +484,17 @@ def test_strict_check_cross_checks_the_last_row_against_theorem_verdict():
 
 
 def _rig(monkeypatch, flip_label, only_a):
-    real = check_condition
+    # flip one condition on one element in the engine's own decision, so
+    # every reader of the search sees the flipped value
+    real, i = theorem_mod._first_hits, CONDITION_LABELS.index(flip_label)
 
-    def rigged(ring, idem, a, label):
-        holds, witness = real(ring, idem, a, label)
-        if label == flip_label and a == only_a:
-            return (not holds, None)
-        return holds, witness
+    def rigged(reads, a):
+        hits = list(real(reads, a))
+        if a == only_a:
+            hits[i] = 0 if hits[i] is None else None  # any code is a hit
+        return tuple(hits)
 
-    monkeypatch.setattr(theorem_mod, "check_condition", rigged)
+    monkeypatch.setattr(theorem_mod, "_first_hits", rigged)
 
 
 def test_inconsistency_raises_with_bundle(monkeypatch, rings):
